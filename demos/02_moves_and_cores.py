@@ -52,7 +52,7 @@ for i in range(3):
 print()
 
 # and backwards: prescribe a moving vector, build a pair realizing it
-s, s_star, m = (0, 1, 1), (-1, 2, 1), (1, 0, 0)
+s, s_star, m = (0, 1, 1), (-1, 1, 2), (1, 1, 0)
 lam = construct_from_vector(s, s_star, m, 3)
 print(f"a pair with moving vector {m} down to the empty-core abacus at {s_star}:")
 print("  multipartition", lam)

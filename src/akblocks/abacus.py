@@ -4,13 +4,15 @@ Row ``i`` of the display (1-based, bottom to top) carries a bead at
 column ``c`` exactly when ``c`` is a beta-number ``part_j - j + s_i`` of
 the i-th component.  Every row is cofinite to the left: all columns
 below a computable floor are beaded and all columns above a ceiling are
-empty.  The pair itself is the single source of truth; bead sets are
-always derived from it, never stored.
+empty.  The pair itself is the single source of truth; each row's bead
+set is derived from it once, on first use, and cached on the frozen
+instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .partitions import (
@@ -60,15 +62,21 @@ class AbacusPair:
         comp = self.mp[row - 1]
         return tuple(comp[j] - (j + 1) + s for j in range(len(comp)))
 
+    @cached_property
+    def _beadsets(self) -> tuple:
+        return tuple(
+            (self.row_floor(i), frozenset(self.row_betas(i))) for i in range(1, self.r + 1)
+        )
+
     def has_bead(self, row: int, col: int) -> bool:
         self._check_row(row)
-        if col < self.row_floor(row):
-            return True
-        return col in self.row_betas(row)
+        floor, extras = self._beadsets[row - 1]
+        return col < floor or col in extras
 
     def row_beadset(self, row: int):
         """(floor, extras): beads are exactly {c < floor} plus the extras."""
-        return self.row_floor(row), frozenset(self.row_betas(row))
+        self._check_row(row)
+        return self._beadsets[row - 1]
 
     def bounds(self) -> tuple:
         """(lo, hi): below lo every row is beaded, from hi on every row is empty."""
@@ -80,7 +88,7 @@ class AbacusPair:
         return lo, max(lo, hi)
 
     def _check_row(self, row: int):
-        if not 1 <= row <= self.r:
+        if not 1 <= row <= len(self.mp):
             raise ValueError(f"row {row} out of range 1..{self.r}")
 
 

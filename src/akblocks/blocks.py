@@ -90,25 +90,34 @@ def weight_multiplicities(charge, e) -> dict:
     return k
 
 
+def _pairing(k: dict, c: dict, j: int, e) -> int:
+    """(alpha_j, Lambda - beta) = k_j - 2 c_j + c_(j-1) + c_(j+1)."""
+    return (
+        k.get(residue(j, e), 0)
+        - 2 * c.get(residue(j, e), 0)
+        + c.get(residue(j - 1, e), 0)
+        + c.get(residue(j + 1, e), 0)
+    )
+
+
 def defect(b: BlockId) -> int:
-    """(Lambda, beta) - (beta, beta)/2, an exact integer."""
-    cartan = CartanData(b.e)
+    """(Lambda, beta) - (beta, beta)/2, an exact integer.
+
+    (beta, beta) = 2 * sum c_i^2 - 2 * sum_i c_i c_(i+1), with the
+    neighbour sum cyclic in i mod e for finite e (at e = 2 it counts
+    c_0 c_1 twice), so the cost is linear in the content's support.
+    """
     k = weight_multiplicities(b.charge, b.e)
     c = b.content_dict()
     lam_beta = sum(k.get(i, 0) * ci for i, ci in c.items())
-    beta_beta = sum(
-        cartan.alpha_alpha(i, j) * ci * cj for i, ci in c.items() for j, cj in c.items()
-    )
-    assert beta_beta % 2 == 0
-    return lam_beta - beta_beta // 2
+    square = sum(ci * ci for ci in c.values())
+    neighbour = sum(ci * c.get(residue(i + 1, b.e), 0) for i, ci in c.items())
+    return lam_beta - square + neighbour
 
 
 def alpha_pairing(b: BlockId, j: int) -> int:
     """(alpha_j, Lambda - beta)."""
-    cartan = CartanData(b.e)
-    k = weight_multiplicities(b.charge, b.e)
-    c = b.content_dict()
-    return k.get(residue(j, b.e), 0) - sum(cartan.alpha_alpha(j, i) * ci for i, ci in c.items())
+    return _pairing(weight_multiplicities(b.charge, b.e), b.content_dict(), j, b.e)
 
 
 def weyl_sigma(a: AbacusPair, j: int) -> AbacusPair:
@@ -213,11 +222,6 @@ def orbit_reachable(b1: BlockId, b2: BlockId, depth: int) -> OrbitResult:
     if k1 != k2:
         raise ValueError("blocks must induce the same dominant weight")
     e = b1.e
-    cartan = CartanData(e)
-
-    def pairing(c: dict, j: int) -> int:
-        return k1.get(residue(j, e), 0) - sum(cartan.alpha_alpha(j, i) * ci for i, ci in c.items())
-
     start = b1.content
     target = b2.content
     if start == target:
@@ -230,7 +234,7 @@ def orbit_reachable(b1: BlockId, b2: BlockId, depth: int) -> OrbitResult:
             continue
         c = dict(state)
         for j in _reflection_indices(k1, c, e):
-            mj = pairing(c, j)
+            mj = _pairing(k1, c, j, e)
             if mj == 0:
                 continue
             nxt = dict(c)

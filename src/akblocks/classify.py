@@ -25,7 +25,7 @@ from .blocks import (
     enumerate_block_members,
     normalize_multicharge,
 )
-from .moves import core
+from .moves import core, core_and_vector
 from .partitions import (
     DominanceRel,
     dominance_compare,
@@ -394,7 +394,7 @@ def _witness_by_construction(member: AbacusPair, b: BlockId):
         if w is None:
             return None
         return _transport_witness(w, sigma, b.charge, charge_norm, b.e, b)
-    core_pair, _, _ = core(member)
+    core_pair, _ = core_and_vector(member)
     seeds = [core_pair, member, dual(core_pair), dual(member)]
     for idx, seed in enumerate(seeds):
         dualized = idx >= 2
@@ -471,7 +471,7 @@ def block_moving_vector(p: AbacusPair):
             "block moving vectors need a multicharge with weakly increasing "
             "entries and spread at most e; normalize the multicharge first"
         )
-    core_pair, _, mv = core(p)
+    core_pair, mv = core_and_vector(p)
     return mv, core_pair
 
 

@@ -12,20 +12,20 @@ their subabacus by 1 plus the number of beads after them (larger t);
 moves preserve the index, so the multiset of moves between two abaci is
 independent of the order they are performed in.  Everything below works
 on this linearization.
+
+A bead's path to the core is a run of levels, and the move at level t
+lies in row r - (t mod r), so the core and its moving vector follow from
+the levels alone.  :func:`core` costs O(number of moves) on top, because
+the move list is its output; :func:`core_and_vector` does not pay that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .abacus import AbacusPair, pair_from_beads, row_from_beads
-from .partitions import (
-    Multicharge,
-    Multipartition,
-    check_quantum_char,
-    in_Abar,
-    is_finite,
-)
+from .partitions import Multicharge, Multipartition, check_quantum_char, in_Abar, is_finite
 
 
 @dataclass(frozen=True, order=True)
@@ -41,88 +41,91 @@ def op_kind(op: ElementaryOp, r: int) -> str:
     return "second" if op.row == r else "first"
 
 
-def _sub_keys(e, lo: int, hi: int):
-    if is_finite(e):
-        return range(e)
-    return range(lo, hi)
-
-
-def _t_of(row: int, col: int, e, r: int) -> int:
-    if is_finite(e):
-        c = col % e
-        return ((col - c) // e) * r + (r - row)
-    return r - row
-
-
-def _pos_of(t: int, c: int, e, r: int):
-    k, u = divmod(t, r)
-    row = r - u
-    if is_finite(e):
-        return row, k * e + c
-    if k != 0:
-        raise ValueError("out-of-range level for infinite e")
-    return row, c
-
-
 def _sub_levels(a: AbacusPair, lo: int, hi: int) -> dict:
     """Per-subabacus descending bead levels above a common floor.
 
-    Returns {c: (t_base, levels)} where every level < t_base is beaded,
-    the descending list ``levels`` holds the bead t-values >= t_base in
-    the column window [lo, hi), and nothing above the window is beaded.
-    ``lo`` must be at or below the pair's lower bound.
+    Returns {c: (t_base, levels)} in ascending c: every level < t_base is
+    beaded, ``levels`` lists the bead levels >= t_base in the column window
+    [lo, hi) in descending order, and the window contains the pair's bounds.
     """
     e, r = a.e, a.r
-    out = {}
-    for c in _sub_keys(e, lo, hi):
-        if is_finite(e):
-            t_base = (((lo - 1 - c) // e) + 1) * r
-        else:
-            t_base = 0
-        out[c] = (t_base, [])
+    if is_finite(e):
+        # columns k*e + c with k >= k0[c] lie in the window
+        k0 = {c: -((c - lo) // e) for c in range(e)}
+        out = {c: (k * r, []) for c, k in k0.items()}
+    else:
+        out = {c: (0, []) for c in range(lo, hi)}
     for row in range(1, r + 1):
-        floor = a.row_floor(row)
-        for col in list(range(lo, floor)) + [b for b in a.row_betas(row) if b >= max(lo, floor)]:
-            if not lo <= col < hi:
-                continue
-            c = col % e if is_finite(e) else col
-            out[c][1].append(_t_of(row, col, e, r))
-    for c in out:
-        out[c][1].sort(reverse=True)
+        floor, betas = a.row_beadset(row)
+        u = r - row
+        if is_finite(e):
+            for c, k in k0.items():
+                out[c][1].extend(range(k * r + u, -((c - floor) // e) * r + u, r))
+            for col in betas:
+                k, c = divmod(col, e)
+                out[c][1].append(k * r + u)
+        else:
+            for col in chain(range(lo, floor), betas):
+                out[col][1].append(u)
+    for _, levels in out.values():
+        levels.sort(reverse=True)
     return out
 
 
-def _common_window(*pairs: AbacusPair):
-    lo = min(p.bounds()[0] for p in pairs)
-    hi = max(p.bounds()[1] for p in pairs)
-    return lo, hi
+def _bead_paths(levels: dict, targets: dict):
+    """(c, bead index, t_from, t_to) for every bead that moves, in the
+    listing order: subabacus, then bead index.
 
-
-def _ops_between_levels(c, t_base: int, src: list, dst: list, e, r: int):
-    """Moves taking the source levels of one subabacus onto the target ones."""
-    if len(src) != len(dst):
-        raise ValueError(
-            f"target unreachable: subabacus {c} bead counts differ ({len(src)} vs {len(dst)})"
-        )
-    ops = []
-    for idx, (t_from, t_to) in enumerate(zip(src, dst), start=1):
-        if t_to > t_from:
+    ``targets`` maps each subabacus to its descending target levels;
+    raises if some bead cannot get there by elementary moves.
+    """
+    for c, (_, src) in levels.items():
+        dst = targets[c]
+        if len(src) != len(dst):
             raise ValueError(
-                f"target unreachable: bead {idx} of subabacus {c} would have to move backwards"
+                f"target unreachable: subabacus {c} bead counts differ ({len(src)} vs {len(dst)})"
             )
-        for t in range(t_to + 1, t_from + 1):
-            row, col = _pos_of(t, c, e, r)
-            ops.append((c, idx, -t, ElementaryOp(row, col, idx)))
-    return ops
+        for idx, (t_from, t_to) in enumerate(zip(src, dst), start=1):
+            if t_to > t_from:
+                raise ValueError(
+                    f"target unreachable: bead {idx} of subabacus {c} would have to move backwards"
+                )
+            if t_to < t_from:
+                yield c, idx, t_from, t_to
 
 
-def _finish(a: AbacusPair, tagged_ops: list):
-    tagged_ops.sort(key=lambda x: x[:3])
-    ops = tuple(op for *_, op in tagged_ops)
-    mv = [0] * a.r
-    for op in ops:
-        mv[op.row - 1] += 1
-    return ops, tuple(mv)
+def _vector(paths, r: int) -> tuple:
+    """Per-row tally of the moves along the paths, without listing them:
+    a path makes (t_from - t_to) // r full cycles over the rows plus a run
+    of fewer than r levels, the move at level t lying in row r - (t mod r).
+    """
+    mv = [0] * r
+    cycles = 0
+    for _, _, t_from, t_to in paths:
+        q, rest = divmod(t_from - t_to, r)
+        cycles += q
+        for t in range(t_to + 1, t_to + 1 + rest):
+            mv[r - 1 - t % r] += 1
+    return tuple(m + cycles for m in mv)
+
+
+def _listing(paths, e, r: int) -> tuple:
+    """The moves along the paths, each bead's from the top level down."""
+    step = e if is_finite(e) else 0  # with infinite e every level is below r
+    ops = []
+    for c, idx, t_from, t_to in paths:
+        for t in range(t_from, t_to, -1):
+            k, u = divmod(t, r)
+            ops.append(ElementaryOp(r - u, k * step + c, idx))
+    return tuple(ops)
+
+
+def _paths_between(a: AbacusPair, b: AbacusPair):
+    if a.e != b.e or a.r != b.r:
+        raise ValueError("abaci must share quantum characteristic and rank")
+    lo, hi = min(a.bounds()[0], b.bounds()[0]), max(a.bounds()[1], b.bounds()[1])
+    targets = {c: levels for c, (_, levels) in _sub_levels(b, lo, hi).items()}
+    return _bead_paths(_sub_levels(a, lo, hi), targets)
 
 
 def operation_set_between(a: AbacusPair, b: AbacusPair):
@@ -132,23 +135,38 @@ def operation_set_between(a: AbacusPair, b: AbacusPair):
     Only multiset equality of the returned operation set is contractual;
     the listing is sorted by (subabacus, bead index, move order).
     """
-    if a.e != b.e or a.r != b.r:
-        raise ValueError("abaci must share quantum characteristic and rank")
-    lo, hi = _common_window(a, b)
-    src_levels = _sub_levels(a, lo, hi)
-    dst_levels = _sub_levels(b, lo, hi)
-    tagged = []
-    for c in src_levels:
-        t_base, src = src_levels[c]
-        _, dst = dst_levels[c]
-        tagged.extend(_ops_between_levels(c, t_base, src, dst, a.e, a.r))
-    return _finish(a, tagged)
+    paths = list(_paths_between(a, b))
+    return _listing(paths, a.e, a.r), _vector(paths, a.r)
 
 
 def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
-    """Per-row tally of the operation set from a to b."""
-    _, mv = operation_set_between(a, b)
-    return mv
+    """Per-row tally of the operation set from a to b, without listing it."""
+    return _vector(_paths_between(a, b), a.r)
+
+
+def _core_paths(a: AbacusPair):
+    """(core pair, bead paths from the pair to it).
+
+    Per subabacus the core fills the levels below t_top = t_base plus
+    the bead count.  Level k*r + (r - row) is column k*e + c, so row
+    ``row`` of the core holds column k*e + c iff k < (t_top + row - 1) // r.
+    """
+    e, r = a.e, a.r
+    lo, hi = a.bounds()
+    levels = _sub_levels(a, lo, hi)
+    tops = {c: t_base + len(src) for c, (t_base, src) in levels.items()}
+    rows = []
+    for row in range(1, r + 1):
+        if is_finite(e):
+            ks = {c: (top + row - 1) // r for c, top in tops.items()}
+            floor = min(k * e + c for c, k in ks.items())
+            extras = [k * e + c for c, kc in ks.items() for k in range(-((c - floor) // e), kc)]
+        else:
+            floor = lo
+            extras = [c for c, top in tops.items() if r - row < top]
+        rows.append((floor, extras))
+    targets = {c: range(tops[c] - 1, t_base - 1, -1) for c, (t_base, _) in levels.items()}
+    return pair_from_beads(rows, e), _bead_paths(levels, targets)
 
 
 def core(a: AbacusPair):
@@ -156,25 +174,18 @@ def core(a: AbacusPair):
 
     The core is the unique complete abacus reachable by elementary
     moves: per subabacus, the beads fill the maximal down-set of the
-    t-order with the same bead count.
+    t-order with the same bead count.  The cost grows with the number of
+    moves, since they are listed; :func:`core_and_vector` skips that.
     """
-    e, r = a.e, a.r
-    lo, hi = a.bounds()
-    levels = _sub_levels(a, lo, hi)
-    tagged = []
-    rows = {i: set() for i in range(1, r + 1)}
-    for c, (t_base, src) in levels.items():
-        t_top = t_base + len(src)  # beads of the core: all t < t_top
-        dst = list(range(t_top - 1, t_base - 1, -1))
-        tagged.extend(_ops_between_levels(c, t_base, src, dst, e, r))
-        for t in range(t_base, t_top):
-            row, col = _pos_of(t, c, e, r)
-            rows[row].add(col)
-    core_pair = pair_from_beads(
-        [(lo, sorted(cols)) for _, cols in sorted(rows.items())], e
-    )
-    ops, mv = _finish(a, tagged)
-    return core_pair, ops, mv
+    core_pair, paths = _core_paths(a)
+    paths = list(paths)
+    return core_pair, _listing(paths, a.e, a.r), _vector(paths, a.r)
+
+
+def core_and_vector(a: AbacusPair):
+    """(core pair, moving vector) as in :func:`core`, without listing moves."""
+    core_pair, paths = _core_paths(a)
+    return core_pair, _vector(paths, a.r)
 
 
 def apply_op(a: AbacusPair, op: ElementaryOp) -> AbacusPair:
@@ -193,18 +204,7 @@ def apply_op(a: AbacusPair, op: ElementaryOp) -> AbacusPair:
         raise ValueError(f"no bead at source position ({op.row}, {op.col})")
     if a.has_bead(*target):
         raise ValueError(f"target position {target} is blocked by a bead")
-    lo, _ = a.bounds()
-    lo = min(lo, op.col - (a.e if is_finite(a.e) else 0) - 1, target[1] - 1)
-    rows = []
-    for i in range(1, r + 1):
-        floor = a.row_floor(i)
-        extras = set(a.row_betas(i)) | set(range(lo, floor))
-        if i == op.row:
-            extras.discard(op.col)
-        if i == target[0]:
-            extras.add(target[1])
-        rows.append((lo, extras))
-    return pair_from_beads(rows, a.e)
+    return _moved(a, (op.row, op.col), target)
 
 
 def remove_rim_hook(a: AbacusPair, row: int, col: int) -> AbacusPair:
@@ -220,17 +220,7 @@ def remove_rim_hook(a: AbacusPair, row: int, col: int) -> AbacusPair:
         raise ValueError(f"no bead at ({row}, {col + a.e})")
     if a.has_bead(row, col):
         raise ValueError(f"position ({row}, {col}) is not empty")
-    lo, _ = a.bounds()
-    lo = min(lo, col - 1)
-    rows = []
-    for i in range(1, a.r + 1):
-        floor = a.row_floor(i)
-        extras = set(a.row_betas(i)) | set(range(lo, floor))
-        if i == row:
-            extras.discard(col + a.e)
-            extras.add(col)
-        rows.append((lo, extras))
-    return pair_from_beads(rows, a.e)
+    return _moved(a, (row, col + a.e), (row, col))
 
 
 def rotate_rows(a: AbacusPair, i: int) -> AbacusPair:
@@ -261,11 +251,21 @@ def _check_vector_preconditions(s, s_star, m, e):
 
 
 def _rows_of(a: AbacusPair, lo: int):
+    """Each row's beads at or above ``lo``, as mutable sets."""
     rows = []
     for i in range(1, a.r + 1):
-        floor = a.row_floor(i)
-        rows.append(set(a.row_betas(i)) | set(range(lo, floor)))
+        floor, extras = a.row_beadset(i)
+        rows.append(set(extras) | set(range(lo, floor)))
     return rows
+
+
+def _moved(a: AbacusPair, src: tuple, dst: tuple) -> AbacusPair:
+    """The pair with the bead at ``src`` moved to the empty ``dst``."""
+    lo = min(a.bounds()[0], src[1], dst[1]) - 1
+    rows = _rows_of(a, lo)
+    rows[src[0] - 1].discard(src[1])
+    rows[dst[0] - 1].add(dst[1])
+    return pair_from_beads([(lo, row) for row in rows], a.e)
 
 
 def _construct_last_zero(s: tuple, s_star: tuple, m: tuple, e) -> Multipartition:

@@ -107,17 +107,12 @@ class DominanceRel(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _cumulative(m: Multipartition, s: int, j: int) -> int:
-    head = sum(sum(c) for c in m[: s - 1])
-    return head + sum(m[s - 1][:j])
-
-
 def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
     """Dominance order on multipartitions of equal rank and size.
 
     ``a`` dominates ``b`` when every cumulative sum (previous components
     plus a row prefix of the current one) is at least the matching sum
-    for ``b``.
+    for ``b``.  Both sums run along the components once.
     """
     if len(a) != len(b):
         raise ValueError("dominance needs multipartitions with the same number of components")
@@ -127,14 +122,14 @@ def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
         return DominanceRel.EQUAL
     ge = True
     le = True
-    for s in range(1, len(a) + 1):
-        jmax = max(len(a[s - 1]), len(b[s - 1]), 1)
-        for j in range(1, jmax + 1):
-            x = _cumulative(a, s, j)
-            y = _cumulative(b, s, j)
+    x = y = 0
+    for pa, pb in zip(a, b):
+        for j in range(max(len(pa), len(pb), 1)):
+            x += pa[j] if j < len(pa) else 0
+            y += pb[j] if j < len(pb) else 0
             if x < y:
                 ge = False
-            if x > y:
+            elif x > y:
                 le = False
         if not ge and not le:
             return DominanceRel.INCOMPARABLE

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Nothing here shares code paths with the analytic implementations: the
-core is recomputed by greedily simulating single bead moves, and the
-one-runner e-core by the classic runner pushdown on beta-numbers.
+core is recomputed by greedily simulating single bead moves, the
+one-runner e-core by the classic runner pushdown on beta-numbers, the
+Cartan pairings by the pairwise double sum, and dominance from every
+cumulative sum recomputed from scratch.
 """
 
 from collections import Counter
 
 from akblocks.moves import ElementaryOp, apply_op
-from akblocks.partitions import INFINITY, is_finite
+from akblocks.blocks import CartanData, weight_multiplicities
+from akblocks.partitions import INFINITY, DominanceRel, is_finite, residue, size
 
 
 def t_key(pair, row, col):
@@ -133,3 +136,50 @@ def tally_residues(mp, charge, e):
                     f %= e
                 counts[f] = counts.get(f, 0) + 1
     return counts
+
+
+def defect_pairwise(b):
+    """(Lambda, beta) - (beta, beta)/2 with (beta, beta) as the double sum
+    over the Cartan matrix."""
+    cartan = CartanData(b.e)
+    k = weight_multiplicities(b.charge, b.e)
+    c = b.content_dict()
+    lam_beta = sum(k.get(i, 0) * ci for i, ci in c.items())
+    beta_beta = sum(
+        cartan.alpha_alpha(i, j) * ci * cj for i, ci in c.items() for j, cj in c.items()
+    )
+    assert beta_beta % 2 == 0
+    return lam_beta - beta_beta // 2
+
+
+def alpha_pairing_pairwise(b, j):
+    """(alpha_j, Lambda - beta) summed over the whole support."""
+    cartan = CartanData(b.e)
+    k = weight_multiplicities(b.charge, b.e)
+    c = b.content_dict()
+    return k.get(residue(j, b.e), 0) - sum(cartan.alpha_alpha(j, i) * ci for i, ci in c.items())
+
+
+def cumulative(m, s, j):
+    """Nodes in components 1..s-1 plus the first j rows of component s."""
+    head = sum(sum(c) for c in m[: s - 1])
+    return head + sum(m[s - 1][:j])
+
+
+def dominance_from_scratch(a, b):
+    """Dominance from every cumulative sum, each recomputed from scratch."""
+    assert len(a) == len(b) and size(a) == size(b)
+    if a == b:
+        return DominanceRel.EQUAL
+    pairs = [
+        (cumulative(a, s, j), cumulative(b, s, j))
+        for s in range(1, len(a) + 1)
+        for j in range(1, max(len(a[s - 1]), len(b[s - 1]), 1) + 1)
+    ]
+    ge = all(x >= y for x, y in pairs)
+    le = all(x <= y for x, y in pairs)
+    if ge:
+        return DominanceRel.GREATER
+    if le:
+        return DominanceRel.LESS
+    return DominanceRel.INCOMPARABLE

@@ -4,6 +4,7 @@ import pytest
 
 from akblocks.abacus import AbacusPair, subabacus_diff
 from akblocks.blocks import (
+    BlockId,
     BudgetExceeded,
     CartanData,
     alpha_pairing,
@@ -17,7 +18,7 @@ from akblocks.blocks import (
 from akblocks.classify import block_moving_vector
 from akblocks.moves import core
 from akblocks.partitions import INFINITY, in_A, permute, permute_charge
-from oracles import tally_residues
+from oracles import alpha_pairing_pairwise, defect_pairwise, tally_residues
 
 
 def random_pair(rng, e, r):
@@ -215,3 +216,37 @@ def test_empty_core_iff_nonnegative_pairings():
             bid = block_id(a)
             nonneg = all(alpha_pairing(bid, j) >= 0 for j in range(e))
             assert (core_pair.mp == ((),) * r) == nonneg
+
+
+def pairing_indices(bid):
+    if bid.e != INFINITY:
+        return range(bid.e)
+    support = [i for i, _ in bid.content] + list(bid.charge)
+    return range(min(support) - 2, max(support) + 3)
+
+
+def test_closed_form_pairings_match_pairwise_sums_on_sweep(desk_sweep):
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        for bid in grouped:
+            assert defect(bid) == defect_pairwise(bid)
+            for j in pairing_indices(bid):
+                assert alpha_pairing(bid, j) == alpha_pairing_pairwise(bid, j)
+
+
+def test_closed_form_pairings_match_pairwise_sums_on_wide_contents():
+    rng = random.Random(61)
+    for e in (2, 3, 5, INFINITY, INFINITY):
+        for _ in range(30):
+            charge = tuple(rng.randrange(-30, 30) for _ in range(rng.randrange(1, 6)))
+            if e == INFINITY:
+                lo = rng.randrange(-40, 10)
+                keys = range(lo, lo + rng.randrange(1, 60))
+            else:
+                keys = range(e)
+            content = {i: rng.randrange(1, 9) for i in keys if rng.random() < 0.7}
+            bid = BlockId(e, charge, tuple(sorted(content.items())), sum(content.values()))
+            assert defect(bid) == defect_pairwise(bid)
+            for j in pairing_indices(bid):
+                assert alpha_pairing(bid, j) == alpha_pairing_pairwise(bid, j)

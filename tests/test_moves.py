@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from akblocks.abacus import AbacusPair, is_complete, uglov
 from akblocks.moves import (
@@ -9,6 +11,7 @@ from akblocks.moves import (
     apply_op,
     construct_from_vector,
     core,
+    core_and_vector,
     moving_vector_between,
     op_kind,
     operation_set_between,
@@ -16,7 +19,7 @@ from akblocks.moves import (
     rotate_rows,
 )
 from akblocks.partitions import INFINITY, in_Abar, size
-from oracles import greedy_core, greedy_ops_to
+from oracles import greedy_core, greedy_ops_to, t_key
 
 SOURCE = AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3)
 TARGET = AbacusPair(((), (4, 3, 1), (3, 2)), (0, 1, 2), 3)
@@ -418,3 +421,82 @@ def test_construct_from_vector_round_trips():
         assert got == m
         checked += 1
     assert checked >= 60
+
+
+def raw_pair(rng, e, r, spread):
+    """A random pair whose multicharge is unsorted, with entries spread over
+    about ``spread`` columns."""
+    mp = tuple(
+        tuple(sorted((rng.randrange(1, 8) for _ in range(rng.randrange(0, 5))), reverse=True))
+        for _ in range(r)
+    )
+    charge = tuple(rng.randint(-spread // 2, spread - spread // 2) for _ in range(r))
+    return AbacusPair(mp, charge, e)
+
+
+def row_tally(ops, r):
+    mv = [0] * r
+    for op in ops:
+        mv[op.row - 1] += 1
+    return tuple(mv)
+
+
+def test_core_and_vector_matches_listed_core():
+    rng = random.Random(89)
+    for e in (2, 3, 5, INFINITY):
+        for spread in (0, 6, 20, 40):
+            for _ in range(12):
+                r = rng.randrange(1, 6)
+                a = raw_pair(rng, e, r, spread)
+                cp, ops, mv = core(a)
+                assert core_and_vector(a) == (cp, mv)
+                assert mv == row_tally(ops, r)
+                assert moving_vector_between(a, cp) == mv
+
+
+def test_core_and_vector_matches_greedy_simulation():
+    rng = random.Random(97)
+    for e in (2, 3, 5, INFINITY):
+        for spread in (4, 12, 40):
+            for _ in range(3):
+                a = raw_pair(rng, e, rng.randrange(1, 5), spread)
+                cp, mv = core_and_vector(a)
+                sim_pair, sim_ops = greedy_core(a, rng)
+                assert cp == sim_pair
+                sim_mv = [0] * a.r
+                for (row, _, _), count in sim_ops.items():
+                    sim_mv[row - 1] += count
+                assert mv == tuple(sim_mv)
+
+
+def test_core_lists_moves_by_subabacus_index_and_descending_level():
+    rng = random.Random(43)
+    for e in (2, 3, 5, INFINITY):
+        for _ in range(15):
+            a = raw_pair(rng, e, rng.randrange(1, 6), 30)
+            _, ops, _ = core(a)
+            keys = []
+            for op in ops:
+                c, t = t_key(a, op.row, op.col)
+                keys.append((c, op.index, -t))
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 9), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-25, 25),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from((2, 3, 5, INFINITY)),
+)
+def test_has_bead_matches_beta_numbers(rows, e):
+    a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
+    for row, (comp, s) in enumerate(rows, start=1):
+        betas = {comp[j - 1] - j + s for j in range(1, len(comp) + 1)}
+        for col in range(s - len(comp) - 3, s + (comp[0] if comp else 0) + 3):
+            assert a.has_bead(row, col) == (col < s - len(comp) or col in betas)

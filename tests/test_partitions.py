@@ -20,6 +20,7 @@ from akblocks.partitions import (
     permute_charge,
     residue_content,
 )
+from oracles import dominance_from_scratch
 
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -115,6 +116,26 @@ def test_dominance_conjugation_duality():
                 forward = dominance_compare(a, b)
                 backward = dominance_compare(conjugate_multi(b), conjugate_multi(a))
                 assert (forward is DominanceRel.GREATER) == (backward is DominanceRel.GREATER)
+
+
+def test_dominance_matches_from_scratch_sums():
+    for r, n in ((3, 3), (2, 4), (4, 2)):
+        mps = list(multipartitions_of(n, r))
+        for a in mps:
+            for b in mps:
+                assert dominance_compare(a, b) is dominance_from_scratch(a, b)
+
+
+@given(st.lists(st.tuples(partitions_st, partitions_st), min_size=1, max_size=4))
+def test_dominance_matches_from_scratch_sums_random(comps):
+    a = tuple(x for x, _ in comps)
+    b = tuple(y for _, y in comps)
+    # move the size difference into an extra last component so sizes agree
+    da = sum(map(sum, a))
+    db = sum(map(sum, b))
+    a += ((db - da,) if db > da else (),)
+    b += ((da - db,) if da > db else (),)
+    assert dominance_compare(a, b) is dominance_from_scratch(a, b)
 
 
 def test_residue_content_examples():
