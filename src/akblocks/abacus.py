@@ -19,6 +19,7 @@ from .partitions import (
     Multicharge,
     Multipartition,
     Partition,
+    check_integers,
     check_multipartition,
     check_quantum_char,
     conjugate_multi,
@@ -37,7 +38,7 @@ class AbacusPair:
 
     def __post_init__(self):
         object.__setattr__(self, "mp", check_multipartition(self.mp))
-        object.__setattr__(self, "charge", tuple(int(s) for s in self.charge))
+        object.__setattr__(self, "charge", check_integers(self.charge, "multicharge"))
         check_quantum_char(self.e)
         if len(self.mp) != len(self.charge):
             raise ValueError("multipartition and multicharge rank mismatch")

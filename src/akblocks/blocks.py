@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, chain, product
+from operator import add, getitem, gt, sub
 
-from .abacus import AbacusPair, pair_from_beads
+from .abacus import AbacusPair, pair_from_beads, row_from_beads
+from .moves import _core_rows, _listing, _sub_levels, _vector
 from .partitions import (
     check_quantum_char,
     count_multipartitions,
     is_finite,
-    multipartitions_of,
     residue,
     residue_content,
 )
@@ -168,23 +170,180 @@ def normalize_multicharge(charge, e):
 
 
 def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """All multipartitions of n in the block, sorted, exhaustively checked.
+    """All multipartitions of n in the block, sorted.
 
-    Refuses (raising :class:`BudgetExceeded`) when the number of
-    candidate multipartitions of n is estimated above the budget.
+    Built from the block's core, not by filtering: over the normalized
+    multicharge every member is the core with one partition lifted onto
+    each subabacus, and the lifts' per-row move tallies add up to the
+    block's moving vector (James-Kerber's core/quotient bijection, run
+    on r rows).  The cost grows with the members found and with the
+    partitions of size at most the weight, not with the number p_r(n)
+    of r-multipartitions of n.  The budget still gates on p_r(n):
+    :class:`BudgetExceeded` is raised when that estimate exceeds it.
     """
     r = len(b.charge)
     estimate = count_multipartitions(b.n, r)
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
-    target = b.content_dict()
-    members = [
-        mp
-        for mp in multipartitions_of(b.n, r)
-        if residue_content(mp, b.charge, b.e) == target
+    e = b.e
+    content = b.content_dict()
+    if sum(content.values()) != b.n or any(
+        v <= 0 or not isinstance(f, int) or residue(f, e) != f for f, v in content.items()
+    ):
+        return []
+    charge, sigma = normalize_multicharge(b.charge, e)
+    w = defect(b)
+    tops, lo = _core_tops(charge, content, e)
+    if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
+        return []
+    rows = _core_rows(tops, lo, e, r)
+    mv = _vector_from_charges(charge, pair_from_beads(rows, e).charge, w, e)
+    if mv is None:
+        return []
+    # members list their rows in the block's own slot order
+    place = [x - 1 for x in sigma]
+    # with infinite e a full or empty column cannot move
+    tables = [
+        _lifts(c, top, mv, e, place) for c, top in tops.items() if is_finite(e) or 0 < top < r
     ]
+    rows_by_slot = [None] * r
+    for x, (floor, extras) in zip(place, rows):
+        rows_by_slot[x] = _RowComponents(floor, extras)
+    members = []
+    for groups in _tally_combinations(tables, mv):
+        for pick in product(*groups):
+            changes = zip(*pick) if pick else [()] * r  # per row; empty when nothing moves
+            members.append(tuple(map(getitem, rows_by_slot, changes)))
     members.sort()
     return members
+
+
+def _core_tops(charge: tuple, content: dict, e):
+    """({subabacus: top level of the core}, lo) for a normalized charge.
+
+    Adding a node of residue f moves a bead from subabacus f-1 to
+    subabacus f, so the core's tops are those of the empty
+    multipartition shifted by c_f - c_(f+1).  With infinite e the
+    columns below ``lo`` are full and those past the returned ones empty.
+    """
+    empty = AbacusPair(((),) * len(charge), charge, e)
+    lo, hi = empty.bounds()
+    if content and not is_finite(e):
+        lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
+    tops = {
+        f: t_base + len(levels) + content.get(f, 0) - content.get(residue(f + 1, e), 0)
+        for f, (t_base, levels) in _sub_levels(empty, lo, hi).items()
+    }
+    return tops, lo
+
+
+def _vector_from_charges(charge: tuple, core_charge: tuple, w: int, e):
+    """The moving vector m with m_x - m_(x-1) = s_x - s*_x (cyclically)
+    and sum w, where m_r = 0 for infinite e; None if no such vector is
+    a non-negative integer one.  Moves keep the bead count, so the
+    differences s_x - s*_x sum to 0 and m_r = m_0."""
+    r = len(charge)
+    steps = list(accumulate(s - t for s, t in zip(charge, core_charge)))
+    last, rest = divmod(w - sum(steps), r) if is_finite(e) else (0, 0)
+    mv = tuple(last + x for x in steps)
+    if rest or min(mv) < 0 or sum(mv) != w:
+        return None
+    return mv
+
+
+def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
+    """{per-row tally: lifts} for every partition pi lifted onto
+    subabacus c (bead i rising from level top - i by pi_i) whose tally
+    stays <= mv.
+
+    A lift lists, for each row x at index ``place[x - 1]``, the frozen
+    set of (column, +1 filled / -1 emptied) bead changes; equal sets are
+    one object.  With infinite e the subabacus is one column of r
+    levels, so pi fits in a top x (r - top) box.
+    """
+    r = len(place)
+    if is_finite(e):
+        max_len = max_part = sum(mv)
+    else:
+        max_len, max_part = top, r - top
+    # the position and the one-move tally of every level a lift can touch
+    span = range(top - max_len, top + max_part)
+    steps = [(c, 0, t, t - 1) for t in span]
+    where = {t: (place[op.row - 1], op.col) for t, op in zip(span, _listing(steps, e, r))}
+    unit = {t: _vector([step], r) for t, step in zip(span, steps)}
+    changes: dict = {}
+    groups: dict = {}
+    stack = [((), (0,) * r, {})]  # (pi, tally, {level: +1 filled / -1 emptied})
+    while stack:
+        pi, tally, net = stack.pop()
+        per_row: dict = {}
+        for t, sign in net.items():
+            x, col = where[t]
+            per_row.setdefault(x, []).append((col, sign))
+        lift = [frozenset()] * r
+        for x, moved in per_row.items():
+            key = frozenset(moved)
+            lift[x] = changes.setdefault(key, key)
+        groups.setdefault(tally, []).append(tuple(lift))
+        i = len(pi) + 1
+        if i > max_len:
+            continue
+        grown = tally
+        for part in range(1, (pi[-1] if pi else max_part) + 1):
+            grown = tuple(map(add, grown, unit[top - i + part]))
+            if any(map(gt, grown, mv)):
+                break  # a longer rise passes the same levels
+            # bead i leaves level top - i, which no lift has touched yet, for a
+            # free level that is either above the core or a level emptied before
+            child = dict(net)
+            child[top - i] = -1
+            if child.get(top - i + part) == -1:
+                del child[top - i + part]
+            else:
+                child[top - i + part] = 1
+            stack.append((pi + (part,), grown, child))
+    return groups
+
+
+def _tally_combinations(tables: list, mv: tuple):
+    """One lift group per subabacus, for every choice of tallies that
+    sums to exactly mv: a depth-first search subtracting tallies, with
+    the last subabacus's group looked up by the rest."""
+    if not tables:
+        if not any(mv):
+            yield ()
+        return
+    stack = [(0, mv, ())]
+    while stack:
+        depth, rest, chosen = stack.pop()
+        if depth == len(tables) - 1:
+            group = tables[depth].get(rest)
+            if group:
+                yield chosen + (group,)
+            continue
+        for tally, group in tables[depth].items():
+            left = tuple(map(sub, rest, tally))
+            if min(left) >= 0:
+                stack.append((depth + 1, left, chosen + (group,)))
+
+
+class _RowComponents(dict):
+    """The components of one core row under the lifts' bead changes in
+    that row, keyed by those changes; each is built once, so equal
+    components of different members are one object."""
+
+    def __init__(self, floor: int, extras):
+        super().__init__()
+        self.floor, self.extras = floor, extras
+
+    def __missing__(self, changes: tuple) -> tuple:
+        moved = [m for change in changes for m in change]
+        low = min([self.floor] + [col for col, sign in moved if sign < 0])
+        beads = set(chain(range(low, self.floor), self.extras))
+        beads.difference_update(col for col, sign in moved if sign < 0)
+        beads.update(col for col, sign in moved if sign > 0)
+        comp = self[changes] = row_from_beads(low, beads)[0]
+        return comp
 
 
 @dataclass(frozen=True)

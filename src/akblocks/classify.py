@@ -25,7 +25,7 @@ from .blocks import (
     enumerate_block_members,
     normalize_multicharge,
 )
-from .moves import core, core_and_vector
+from .moves import _core_paths, core_and_vector
 from .partitions import (
     DominanceRel,
     dominance_compare,
@@ -575,16 +575,15 @@ def subabacus_moving_vector(
 
     Sums, over every member, the number of operations whose source
     column lies in each residue class mod e (each column is its own
-    class when e is infinite).  Zero entries are omitted.
+    class when e is infinite).  Zero entries are omitted.  Moves never
+    leave a subabacus, so each bead path adds its length t_from - t_to
+    to its own subabacus's class and no move is listed.
     """
-    members = enumerate_block_members(b, budget=enumeration_budget)
     counts: dict = {}
-    for mp in members:
-        pair = AbacusPair(mp, b.charge, b.e)
-        _, ops, _ = core(pair)
-        for op in ops:
-            key = op.col % b.e if is_finite(b.e) else op.col
-            counts[key] = counts.get(key, 0) + 1
+    for mp in enumerate_block_members(b, budget=enumeration_budget):
+        _, paths = _core_paths(AbacusPair(mp, b.charge, b.e))
+        for c, _, t_from, t_to in paths:
+            counts[c] = counts.get(c, 0) + t_from - t_to
     return {k: v for k, v in sorted(counts.items()) if v}
 
 

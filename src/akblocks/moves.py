@@ -110,7 +110,11 @@ def _vector(paths, r: int) -> tuple:
 
 
 def _listing(paths, e, r: int) -> tuple:
-    """The moves along the paths, each bead's from the top level down."""
+    """The moves along the paths, each bead's from the top level down.
+
+    The move at level t of subabacus c leaves the position of that
+    level: level k*r + (r - row) is column k*e + c.
+    """
     step = e if is_finite(e) else 0  # with infinite e every level is below r
     ops = []
     for c, idx, t_from, t_to in paths:
@@ -144,17 +148,15 @@ def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
     return _vector(_paths_between(a, b), a.r)
 
 
-def _core_paths(a: AbacusPair):
-    """(core pair, bead paths from the pair to it).
+def _core_rows(tops: dict, lo: int, e, r: int) -> list:
+    """Per-row (floor, extras) of the complete abacus whose subabacus c
+    fills exactly the levels below ``tops[c]``.
 
-    Per subabacus the core fills the levels below t_top = t_base plus
-    the bead count.  Level k*r + (r - row) is column k*e + c, so row
-    ``row`` of the core holds column k*e + c iff k < (t_top + row - 1) // r.
+    Level k*r + (r - row) is column k*e + c, so row ``row`` holds column
+    k*e + c iff k < (top + row - 1) // r.  With infinite e every column
+    below ``lo`` is full, and every column from ``lo`` on that ``tops``
+    leaves out is empty.
     """
-    e, r = a.e, a.r
-    lo, hi = a.bounds()
-    levels = _sub_levels(a, lo, hi)
-    tops = {c: t_base + len(src) for c, (t_base, src) in levels.items()}
     rows = []
     for row in range(1, r + 1):
         if is_finite(e):
@@ -165,8 +167,20 @@ def _core_paths(a: AbacusPair):
             floor = lo
             extras = [c for c, top in tops.items() if r - row < top]
         rows.append((floor, extras))
+    return rows
+
+
+def _core_paths(a: AbacusPair):
+    """(core pair, bead paths from the pair to it).
+
+    Per subabacus the core fills the levels below t_top = t_base plus
+    the bead count.
+    """
+    lo, hi = a.bounds()
+    levels = _sub_levels(a, lo, hi)
+    tops = {c: t_base + len(src) for c, (t_base, src) in levels.items()}
     targets = {c: range(tops[c] - 1, t_base - 1, -1) for c, (t_base, _) in levels.items()}
-    return pair_from_beads(rows, e), _bead_paths(levels, targets)
+    return pair_from_beads(_core_rows(tops, lo, a.e, a.r), a.e), _bead_paths(levels, targets)
 
 
 def core(a: AbacusPair):

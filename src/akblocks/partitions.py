@@ -41,9 +41,18 @@ def residue(x: int, e) -> int:
     return x % e
 
 
+def check_integers(values: Iterable[int], what: str) -> tuple:
+    """The values as a tuple; anything but a plain int (bool included) is rejected."""
+    t = tuple(values)
+    bad = [x for x in t if type(x) is not int]
+    if bad:
+        raise ValueError(f"{what} entries must be integers, got {bad[0]!r}")
+    return t
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize to a tuple, stripping trailing zeros; reject bad shapes."""
-    p = tuple(int(x) for x in parts)
+    p = check_integers(parts, "partition")
     while p and p[-1] == 0:
         p = p[:-1]
     if any(x <= 0 for x in p):

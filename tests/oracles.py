@@ -3,15 +3,28 @@
 Nothing here shares code paths with the analytic implementations: the
 core is recomputed by greedily simulating single bead moves, the
 one-runner e-core by the classic runner pushdown on beta-numbers, the
-Cartan pairings by the pairwise double sum, and dominance from every
-cumulative sum recomputed from scratch.
+Cartan pairings by the pairwise double sum, dominance from every
+cumulative sum recomputed from scratch, and block members by filtering
+all r-multipartitions of n on residue content.  The subabacus moving
+vector is counted from the moves that ``core`` lists one by one; it
+shares the bead paths with the library and checks the per-subabacus sum.
 """
 
 from collections import Counter
+from functools import lru_cache
 
-from akblocks.moves import ElementaryOp, apply_op
-from akblocks.blocks import CartanData, weight_multiplicities
-from akblocks.partitions import INFINITY, DominanceRel, is_finite, residue, size
+from akblocks.abacus import AbacusPair
+from akblocks.moves import ElementaryOp, apply_op, core
+from akblocks.blocks import BlockId, CartanData, weight_multiplicities
+from akblocks.partitions import (
+    INFINITY,
+    DominanceRel,
+    is_finite,
+    multipartitions_of,
+    residue,
+    residue_content,
+    size,
+)
 
 
 def t_key(pair, row, col):
@@ -183,3 +196,30 @@ def dominance_from_scratch(a, b):
     if le:
         return DominanceRel.LESS
     return DominanceRel.INCOMPARABLE
+
+
+@lru_cache(maxsize=16)
+def blocks_by_filter(e, charge, n):
+    """{block: members} for every block of size n, by filtering all
+    r-multipartitions of n on residue content; members sorted."""
+    grouped = {}
+    for mp in multipartitions_of(n, len(charge)):
+        content = tuple(sorted(residue_content(mp, charge, e).items()))
+        grouped.setdefault(BlockId(e, charge, content, n), []).append(mp)
+    return {b: sorted(members) for b, members in grouped.items()}
+
+
+def block_members_by_filter(b):
+    """Every r-multipartition of n whose residue content is the block's, sorted."""
+    return list(blocks_by_filter(b.e, b.charge, b.n).get(b, []))
+
+
+def subabacus_moving_vector_by_ops(b, members):
+    """Every listed move of every member to its core, counted by the
+    source column's class mod e (the column itself for infinite e)."""
+    counts = Counter()
+    for mp in members:
+        _, ops, _ = core(AbacusPair(mp, b.charge, b.e))
+        for op in ops:
+            counts[op.col % b.e if is_finite(b.e) else op.col] += 1
+    return dict(sorted(counts.items()))

@@ -33,6 +33,18 @@ def test_has_bead_single_row_example():
     assert beadset(a, 1, -20, 10) == frozenset(expected)
 
 
+def test_pair_rejects_non_integers():
+    for mp, charge in (
+        (((1.5,), ()), (0, 1)),
+        (((True,), ()), (0, 1)),
+        ((("2",), ()), (0, 1)),
+        (((1,),), (0.7,)),
+        (((1,),), (False,)),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            AbacusPair(mp, charge, 3)
+
+
 def test_has_bead_empty_row():
     a = AbacusPair(((), ()), (2, -1), 4)
     assert all(a.has_bead(1, c) for c in range(-8, 2))

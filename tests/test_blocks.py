@@ -18,7 +18,13 @@ from akblocks.blocks import (
 from akblocks.classify import block_moving_vector
 from akblocks.moves import core
 from akblocks.partitions import INFINITY, in_A, permute, permute_charge
-from oracles import alpha_pairing_pairwise, defect_pairwise, tally_residues
+from oracles import (
+    alpha_pairing_pairwise,
+    block_members_by_filter,
+    blocks_by_filter,
+    defect_pairwise,
+    tally_residues,
+)
 
 
 def random_pair(rng, e, r):
@@ -133,6 +139,58 @@ def test_enumerate_block_members_examples():
         assert len(nonempty) == 1 and nonempty[0] in ((2,), (1, 1))
     empty = AbacusPair(((), ()), (0, 1), 3)
     assert enumerate_block_members(block_id(empty)) == [((), ())]
+
+
+def test_enumerate_block_members_match_filter_on_sweep(desk_sweep):
+    blocks = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        for bid in grouped:
+            assert enumerate_block_members(bid) == block_members_by_filter(bid), bid
+            blocks += 1
+    assert blocks == 2577
+
+
+GRID_CHARGES = {
+    1: [(0,), (-3,), (7,)],
+    2: [(0, 0), (3, -1), (-2, 5)],
+    5: [(0, 3, -1, 4, 0), (2, 2, -5, 1, 0)],
+}
+
+
+def _shifted(charge, e):
+    """The charge with its slots moved by different multiples of e."""
+    return tuple(s + (i - 1) * e for i, s in enumerate(charge))
+
+
+def test_enumerate_block_members_match_filter_on_grid():
+    # raw, unsorted and negative charges; r, e and n beyond the desk sweep
+    # (n <= 8, and n <= 6 at r = 5, where the filter's search space grows fastest)
+    for e in (2, 4, 5, INFINITY):
+        for r, charges in GRID_CHARGES.items():
+            for charge in charges:
+                for n in range(9 if r < 5 else 7):
+                    for bid, members in blocks_by_filter(e, charge, n).items():
+                        assert enumerate_block_members(bid) == members, bid
+                        if e != INFINITY:
+                            moved = BlockId(e, _shifted(charge, e), bid.content, n)
+                            assert enumerate_block_members(moved) == members
+
+
+def test_enumerate_block_members_unreachable_content():
+    cases = [
+        BlockId(3, (0, 0, 0), ((0, 5),), 5),  # too many nodes of one residue
+        BlockId(2, (0, 1), ((0, 4),), 4),
+        BlockId(3, (0, 1), ((0, 1), (4, 1)), 2),  # residue outside 0..e-1
+        BlockId(3, (0, 1), ((0, 1), (1, 0)), 1),  # a stored zero count
+        BlockId(3, (0, 1), ((0, 1),), 2),  # n disagrees with the content
+        BlockId(INFINITY, (0, 0), ((0, 1), (2, 1)), 2),  # a gap at residue 1
+        BlockId(INFINITY, (0, 2), ((-1, 1),), 1),
+    ]
+    for bid in cases:
+        assert block_members_by_filter(bid) == []
+        assert enumerate_block_members(bid) == []
 
 
 def test_enumerate_block_budget():

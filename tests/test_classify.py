@@ -16,11 +16,14 @@ from akblocks.classify import (
     subabacus_moving_vector,
 )
 from akblocks.partitions import (
+    INFINITY,
     DominanceRel,
     dominance_compare,
     count_standard_tableaux,
+    multipartitions_of,
     permute,
 )
+from oracles import subabacus_moving_vector_by_ops
 
 LAM332 = ((2, 1, 1), (2, 2, 1, 1), (3, 1, 1), (4, 3, 1, 1))
 MU332 = ((2, 2, 2), (5, 1, 1, 1), (3,), (4, 2, 1))
@@ -225,6 +228,32 @@ def test_subabacus_moving_vector_total():
         w = subabacus_moving_vector(bid)
         members = enumerate_block_members(bid)
         assert sum(w.values()) == len(members) * defect(bid)
+
+
+def test_subabacus_moving_vector_matches_listed_moves_on_sweep(desk_sweep):
+    checked = {1: 0, 2: 0}
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        for bid, entries in grouped.items():
+            w = defect(bid)
+            if w in checked:
+                members = [mp for mp, *_ in entries]
+                assert subabacus_moving_vector(bid) == subabacus_moving_vector_by_ops(bid, members)
+                checked[w] += 1
+    assert min(checked.values()) > 100
+
+
+def test_subabacus_moving_vector_matches_listed_moves_on_raw_charges():
+    for e, charge in ((2, (3, -1, 0)), (3, (5, 5, -2)), (4, (-3, 6)), (INFINITY, (2, -1, 0))):
+        bids = {
+            block_id(AbacusPair(mp, charge, e))
+            for n in range(6)
+            for mp in multipartitions_of(n, len(charge))
+        }
+        for bid in bids:
+            members = enumerate_block_members(bid)
+            assert subabacus_moving_vector(bid) == subabacus_moving_vector_by_ops(bid, members)
 
 
 def test_derived_equivalence_examples():

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from akblocks.cli import SCHEMAS, main
 
@@ -141,6 +142,22 @@ def test_exit_codes(capsys):
     finally:
         del os.environ["ABACUS_BUDGET"]
     assert code == 3 and json.loads(err)["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"e": 3, "multicharge": [0, 1], "multipartition": [[1.5], []]},
+        {"e": 3, "multicharge": [0, 1], "multipartition": [[True], []]},
+        {"e": 3, "multicharge": [0, 1], "multipartition": [["2"], []]},
+        {"e": 3, "multicharge": [0.7], "multipartition": [[1]]},
+    ],
+)
+def test_non_integer_input_is_rejected(capsys, job):
+    for command in ("core", "classify"):
+        code, out, err = run(capsys, command, json.dumps(job))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "parse" and "integers" in json.loads(err)["detail"]
 
 
 def test_output_byte_stability(capsys):
