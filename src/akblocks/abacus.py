@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from .partitions import (
@@ -43,6 +44,18 @@ class AbacusPair:
         if len(self.mp) != len(self.charge):
             raise ValueError("multipartition and multicharge rank mismatch")
 
+    @classmethod
+    def _of(cls, mp: Multipartition, charge: Multicharge, e) -> "AbacusPair":
+        """The pair of parts already in canonical form, without the checks.
+
+        Only for parts taken from pairs that were validated: a tuple of
+        partition tuples with no trailing zeros, a tuple of ints of the
+        same length, and a valid quantum characteristic.
+        """
+        pair = object.__new__(cls)
+        vars(pair).update(mp=mp, charge=charge, e=e)
+        return pair
+
     @property
     def r(self) -> int:
         return len(self.mp)
@@ -65,9 +78,18 @@ class AbacusPair:
 
     @cached_property
     def _beadsets(self) -> tuple:
-        return tuple(
-            (self.row_floor(i), frozenset(self.row_betas(i))) for i in range(1, self.r + 1)
-        )
+        """Per row, bottom to top: (floor, frozenset of beta-numbers)."""
+        rows = []
+        for comp, s in zip(self.mp, self.charge):
+            # the j-th beta-number is part_j - j + s
+            rows.append((s - len(comp), frozenset(map(sub, comp, range(1 - s, len(comp) + 1 - s)))))
+        return tuple(rows)
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        lo = min(floor for floor, _ in self._beadsets)
+        hi = max(s + comp[0] if comp else s for comp, s in zip(self.mp, self.charge))
+        return lo, max(lo, hi)
 
     def has_bead(self, row: int, col: int) -> bool:
         self._check_row(row)
@@ -81,12 +103,7 @@ class AbacusPair:
 
     def bounds(self) -> tuple:
         """(lo, hi): below lo every row is beaded, from hi on every row is empty."""
-        lo = min(self.row_floor(i) for i in range(1, self.r + 1))
-        hi = max(
-            self.charge[i - 1] + (self.mp[i - 1][0] if self.mp[i - 1] else 0)
-            for i in range(1, self.r + 1)
-        )
-        return lo, max(lo, hi)
+        return self._bounds
 
     def _check_row(self, row: int):
         if not 1 <= row <= len(self.mp):
@@ -101,7 +118,7 @@ def row_from_beads(floor: int, extras: Iterable[int]):
     collapses to floor plus the number of extras; the j-th part is the
     number of holes left of the j-th bead from the right.
     """
-    ex = sorted(set(int(x) for x in extras), reverse=True)
+    ex = sorted(set(extras), reverse=True)
     if ex and ex[-1] < floor:
         raise ValueError("extra beads must sit at or above the floor")
     s = floor + len(ex)
@@ -111,16 +128,27 @@ def row_from_beads(floor: int, extras: Iterable[int]):
     return tuple(parts), s
 
 
+def _decode_rows(rows: Sequence) -> tuple:
+    decoded = [row_from_beads(floor, extras) for floor, extras in rows]
+    return tuple(p for p, _ in decoded), tuple(s for _, s in decoded)
+
+
 def pair_from_beads(rows: Sequence, e) -> AbacusPair:
     """Build the pair whose abacus has the given per-row bead sets.
 
     Each row description is a (floor, extras) pair as in
-    :func:`row_from_beads`; rows are listed bottom to top.
+    :func:`row_from_beads`; rows are listed bottom to top.  Floors and
+    columns must be ints (bool excluded).
     """
-    decoded = [row_from_beads(floor, extras) for floor, extras in rows]
-    mp = tuple(p for p, _ in decoded)
-    charge = tuple(s for _, s in decoded)
-    return AbacusPair(mp, charge, e)
+    rows = [(floor, check_integers(extras, "bead column")) for floor, extras in rows]
+    check_integers([floor for floor, _ in rows], "floor")
+    return AbacusPair(*_decode_rows(rows), e)
+
+
+def _pair_of_beads(rows: Sequence, e) -> AbacusPair:
+    """:func:`pair_from_beads` without the checks, for bead sets the
+    library derived from validated pairs."""
+    return AbacusPair._of(*_decode_rows(rows), e)
 
 
 def n_right(a: AbacusPair, row: int, col: int) -> int:
@@ -183,7 +211,7 @@ def dual(a: AbacusPair) -> AbacusPair:
     """
     mp = conjugate_multi(a.mp)
     charge = tuple(-s for s in reversed(a.charge))
-    return AbacusPair(mp, charge, a.e)
+    return AbacusPair._of(mp, charge, a.e)
 
 
 @dataclass(frozen=True)

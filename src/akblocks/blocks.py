@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, product
 from operator import add, getitem, gt, sub
 
-from .abacus import AbacusPair, pair_from_beads, row_from_beads
-from .moves import _core_rows, _listing, _sub_levels, _vector
+from .abacus import AbacusPair, _pair_of_beads, row_from_beads
+from .moves import _core_pair, _listing, _sub_levels, _vector
 from .partitions import (
     check_quantum_char,
     count_multipartitions,
@@ -130,9 +130,6 @@ def weyl_sigma(a: AbacusPair, j: int) -> AbacusPair:
     reflection twice restores the input.
     """
     e = a.e
-    lo, hi = a.bounds()
-    lo -= (e + 1) if is_finite(e) else 2
-    hi += (e + 1) if is_finite(e) else 2
 
     def partner(col: int) -> int:
         if is_finite(e):
@@ -147,11 +144,15 @@ def weyl_sigma(a: AbacusPair, j: int) -> AbacusPair:
             return j
         return col
 
+    # partner moves a column by at most one: every column below floor - 1
+    # stays beaded, and one from floor - 1 on is beaded iff its partner,
+    # at least floor - 2, was
     rows = []
-    for i in range(1, a.r + 1):
-        extras = {col for col in range(lo, hi) if a.has_bead(i, partner(col))}
-        rows.append((lo, extras))
-    return pair_from_beads(rows, e)
+    for floor, extras in a._beadsets:
+        lo = floor - 1
+        moved = (partner(col) for col in chain(range(lo - 1, floor), extras))
+        rows.append((lo, [col for col in moved if col >= lo]))
+    return _pair_of_beads(rows, e)
 
 
 def normalize_multicharge(charge, e):
@@ -196,8 +197,8 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     tops, lo = _core_tops(charge, content, e)
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
         return []
-    rows = _core_rows(tops, lo, e, r)
-    mv = _vector_from_charges(charge, pair_from_beads(rows, e).charge, w, e)
+    core = _core_pair(tops, lo, e, r)
+    mv = _vector_from_charges(charge, core.charge, w, e)
     if mv is None:
         return []
     # members list their rows in the block's own slot order
@@ -207,7 +208,7 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
         _lifts(c, top, mv, e, place) for c, top in tops.items() if is_finite(e) or 0 < top < r
     ]
     rows_by_slot = [None] * r
-    for x, (floor, extras) in zip(place, rows):
+    for x, (floor, extras) in zip(place, core._beadsets):
         rows_by_slot[x] = _RowComponents(floor, extras)
     members = []
     for groups in _tally_combinations(tables, mv):
@@ -232,7 +233,7 @@ def _core_tops(charge: tuple, content: dict, e):
         lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
     tops = {
         f: t_base + len(levels) + content.get(f, 0) - content.get(residue(f + 1, e), 0)
-        for f, (t_base, levels) in _sub_levels(empty, lo, hi).items()
+        for f, (t_base, levels) in _sub_levels(empty, range(lo, hi)).items()
     }
     return tops, lo
 

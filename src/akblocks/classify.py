@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .abacus import AbacusPair, dual, pair_from_beads
+from .abacus import AbacusPair, _pair_of_beads, dual
 from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
@@ -28,6 +28,7 @@ from .blocks import (
 from .moves import _core_paths, core_and_vector
 from .partitions import (
     DominanceRel,
+    check_integers,
     dominance_compare,
     in_Abar,
     is_finite,
@@ -51,15 +52,7 @@ def is_incomparable_witness(a: AbacusPair, b: AbacusPair, k1: int, i1: int, k2: 
         return False
     if not (not a.has_bead(k2, i2) and b.has_bead(k2, i2)):
         return False
-    lo = min(a.bounds()[0], b.bounds()[0])
-    hi = max(a.bounds()[1], b.bounds()[1])
-    for col in range(i1 + 1, hi):
-        if a.has_bead(k1, col) != b.has_bead(k1, col):
-            return False
-    for col in range(lo, i2):
-        if a.has_bead(k2, col) != b.has_bead(k2, col):
-            return False
-    return True
+    return max(_row_diffs(a, b, k1)) == i1 and min(_row_diffs(a, b, k2)) == i2
 
 
 def _check_same_display(a: AbacusPair, b: AbacusPair):
@@ -71,10 +64,12 @@ def _check_same_display(a: AbacusPair, b: AbacusPair):
         raise ValueError("incomparability is defined for equal sizes")
 
 
-def _row_diffs(a: AbacusPair, b: AbacusPair, row: int) -> list:
-    lo = min(a.bounds()[0], b.bounds()[0])
-    hi = max(a.bounds()[1], b.bounds()[1])
-    return [c for c in range(lo, hi) if a.has_bead(row, c) != b.has_bead(row, c)]
+def _row_diffs(a: AbacusPair, b: AbacusPair, row: int) -> frozenset:
+    """The columns where the row's beads differ: the extras' symmetric
+    difference, flipped on the columns between the two floors."""
+    fa, xa = a._beadsets[row - 1]
+    fb, xb = b._beadsets[row - 1]
+    return xa ^ xb ^ frozenset(range(min(fa, fb), max(fa, fb)))
 
 
 def incomparable_abaci(a: AbacusPair, b: AbacusPair):
@@ -91,10 +86,11 @@ def incomparable_abaci(a: AbacusPair, b: AbacusPair):
         diffs = _row_diffs(a, b, row)
         if not diffs:
             continue
-        if a.has_bead(row, diffs[-1]):
-            tops.append((row, diffs[-1]))
-        if b.has_bead(row, diffs[0]):
-            bottoms.append((row, diffs[0]))
+        top, bottom = max(diffs), min(diffs)
+        if a.has_bead(row, top):
+            tops.append((row, top))
+        if b.has_bead(row, bottom):
+            bottoms.append((row, bottom))
     for k1, i1 in tops:
         for k2, i2 in bottoms:
             if k1 != k2:
@@ -140,10 +136,10 @@ class _BeadRows:
         lo, hi = pair.bounds()
         self.lo = lo - 2 * (step + 1)
         self.hi = hi + step + 1
-        self.rows = {}
-        for i in range(1, pair.r + 1):
-            floor = pair.row_floor(i)
-            self.rows[i] = set(range(self.lo, floor)) | set(pair.row_betas(i))
+        self.rows = {
+            i: set(range(self.lo, floor)) | extras
+            for i, (floor, extras) in enumerate(pair._beadsets, start=1)
+        }
 
     def wrap(self, row: int, col: int):
         while row > self.r:
@@ -158,6 +154,14 @@ class _BeadRows:
         if col < self.lo:
             return True
         return col in self.rows[row]
+
+    def beaded(self, row: int) -> set:
+        """The columns from lo on that carry a bead in the (wrapped) row."""
+        row, col = self.wrap(row, 0)
+        shift = -col  # a row r*m + row reads row ``row`` shifted right by m*e
+        cols = {c + shift for c in self.rows[row]}
+        cols.update(range(self.lo, self.lo + shift))
+        return cols
 
     def copy(self) -> "_BeadRows":
         new = object.__new__(_BeadRows)
@@ -178,7 +182,7 @@ class _BeadRows:
         return self
 
     def pair(self) -> AbacusPair:
-        return pair_from_beads(
+        return _pair_of_beads(
             [(self.lo, self.rows[i]) for i in range(1, self.r + 1)], self.e
         )
 
@@ -187,17 +191,17 @@ def _scan_cols(model: _BeadRows):
     return range(model.lo + 1, model.hi)
 
 
+def _in_scan(model: _BeadRows, cols) -> list:
+    return sorted(h for h in cols if model.lo < h < model.hi)
+
+
 def _cols_bead_over_empty(model: _BeadRows, low_row: int, high_row: int):
     """Columns with a bead in low_row and a hole at the (wrapped) high_row."""
-    return [
-        h for h in _scan_cols(model) if model.bead(low_row, h) and not model.bead(high_row, h)
-    ]
+    return _in_scan(model, model.beaded(low_row) - model.beaded(high_row))
 
 
 def _cols_empty_under_bead(model: _BeadRows, low_row: int, high_row: int):
-    return [
-        h for h in _scan_cols(model) if not model.bead(low_row, h) and model.bead(high_row, h)
-    ]
+    return _in_scan(model, model.beaded(high_row) - model.beaded(low_row))
 
 
 def _build_two_runners(model: _BeadRows, j: int, h1: int, h2: int):
@@ -315,8 +319,9 @@ def construct_four_rows_one_column(a: AbacusPair):
         return None
     model = _BeadRows(a)
     for h in _scan_cols(model):
-        rows_b = [i for i in range(1, a.r + 1) if model.bead(i, h)]
-        rows_e = [i for i in range(1, a.r + 1) if not model.bead(i, h)]
+        # scan columns lie above lo, so a row carries a bead there iff its set holds it
+        rows_b = [i for i in range(1, a.r + 1) if h in model.rows[i]]
+        rows_e = [i for i in range(1, a.r + 1) if h not in model.rows[i]]
         quad = None
         for i1, i2 in combinations(rows_b, 2):
             above = [x for x in rows_e if x > i2]
@@ -383,13 +388,13 @@ def _transport_witness(w, sigma, charge, charge_norm, e, b: BlockId):
         big_k2,
         i2 + charge[big_k2 - 1] - charge_norm[k2 - 1],
     )
-    return _witness_from(AbacusPair(mu, charge, e), AbacusPair(nu, charge, e), coords, b)
+    return _witness_from(AbacusPair._of(mu, charge, e), AbacusPair._of(nu, charge, e), coords, b)
 
 
 def _witness_by_construction(member: AbacusPair, b: BlockId):
     if not in_Abar(b.charge, b.e):
         charge_norm, sigma = normalize_multicharge(b.charge, b.e)
-        member_n = AbacusPair(permute(member.mp, sigma), charge_norm, b.e)
+        member_n = AbacusPair._of(permute(member.mp, sigma), charge_norm, b.e)
         w = _witness_by_construction(member_n, block_id(member_n))
         if w is None:
             return None
@@ -448,8 +453,8 @@ def find_incomparable_pair(
         if compared >= pair_budget:
             break
         compared += 1
-        pa = AbacusPair(x, b.charge, b.e)
-        pb = AbacusPair(y, b.charge, b.e)
+        pa = AbacusPair._of(x, seed.charge, b.e)
+        pb = AbacusPair._of(y, seed.charge, b.e)
         for first, second in ((pa, pb), (pb, pa)):
             coords = incomparable_abaci(first, second)
             if coords:
@@ -512,7 +517,7 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
     the block is a truncated polynomial ring of degree weight+1.
     """
     charge_norm, sigma = normalize_multicharge(p.charge, p.e)
-    q = AbacusPair(permute(p.mp, sigma), charge_norm, p.e)
+    q = AbacusPair._of(permute(p.mp, sigma), charge_norm, p.e)
     mv, _ = block_moving_vector(q)
     w = sum(mv)
     report = dict(
@@ -579,9 +584,10 @@ def subabacus_moving_vector(
     leave a subabacus, so each bead path adds its length t_from - t_to
     to its own subabacus's class and no move is listed.
     """
+    charge = check_integers(b.charge, "multicharge")
     counts: dict = {}
     for mp in enumerate_block_members(b, budget=enumeration_budget):
-        _, paths = _core_paths(AbacusPair(mp, b.charge, b.e))
+        _, paths = _core_paths(AbacusPair._of(mp, charge, b.e))
         for c, _, t_from, t_to in paths:
             counts[c] = counts.get(c, 0) + t_from - t_to
     return {k: v for k, v in sorted(counts.items()) if v}

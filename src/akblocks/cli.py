@@ -247,6 +247,8 @@ def _cmd_schur(job, args):
 def _cmd_enumerate(job, args):
     if args.n is None:
         raise JobError("enumerate needs --n")
+    if args.n < 0:
+        raise JobError(f"--n must be a non-negative integer, got {args.n}")
     e = _decode_e(job.get("e"))
     charge = tuple(job.get("multicharge", ()))
     if not charge:

@@ -13,19 +13,34 @@ moves preserve the index, so the multiset of moves between two abaci is
 independent of the order they are performed in.  Everything below works
 on this linearization.
 
-A bead's path to the core is a run of levels, and the move at level t
-lies in row r - (t mod r), so the core and its moving vector follow from
-the levels alone.  :func:`core` costs O(number of moves) on top, because
-the move list is its output; :func:`core_and_vector` does not pay that.
+Each subabacus's levels are read off each row's floor and beta-numbers
+once.  With finite e they start at the highest level below which every
+row is beaded, so no column window is scanned, and a row's run of floor
+beads is added as one range.  The core fills, per subabacus, the levels below its top
+(that base plus the bead count), so bead ``idx`` goes to top - idx; only
+the beads above the first one already in place move.  The core's rows
+are built from the tops directly: row ``row`` holds column k*e + c iff
+k < (top + row - 1) // r.  A bead's path is a run of levels, and the
+move at level t lies in row r - (t mod r), so the moving vector follows
+from the levels alone.  :func:`core` costs O(number of moves) on top,
+because the move list is its output; :func:`core_and_vector` does not
+pay that.  Pairs built here from validated pairs skip re-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from operator import add
 
-from .abacus import AbacusPair, pair_from_beads, row_from_beads
-from .partitions import Multicharge, Multipartition, check_quantum_char, in_Abar, is_finite
+from .abacus import AbacusPair, _pair_of_beads, pair_from_beads, row_from_beads
+from .partitions import (
+    Multicharge,
+    Multipartition,
+    check_integers,
+    check_quantum_char,
+    in_Abar,
+    is_finite,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -41,32 +56,38 @@ def op_kind(op: ElementaryOp, r: int) -> str:
     return "second" if op.row == r else "first"
 
 
-def _sub_levels(a: AbacusPair, lo: int, hi: int) -> dict:
-    """Per-subabacus descending bead levels above a common floor.
+def _sub_levels(a: AbacusPair, cols=None) -> dict:
+    """Per-subabacus bead levels, read off each row's floor and beta-numbers.
 
-    Returns {c: (t_base, levels)} in ascending c: every level < t_base is
-    beaded, ``levels`` lists the bead levels >= t_base in the column window
-    [lo, hi) in descending order, and the window contains the pair's bounds.
+    Returns {c: (t_base, levels)} in ascending c: every level below
+    t_base is beaded and ``levels`` lists the bead levels from t_base on,
+    descending.  With finite e, t_base is the highest level below which
+    every row is beaded: row ``row`` holds the levels k*r + (r - row) of
+    its floor run for k < ceil((floor - c) / e), added as one range.  With
+    infinite e each column is its own subabacus of the r levels from 0,
+    and t_base is 0; ``cols`` (the pair's bounds by default) lists the
+    columns wanted, those left of the pair's bounds being full.
     """
     e, r = a.e, a.r
+    rows = a._beadsets
+    out = {}
     if is_finite(e):
-        # columns k*e + c with k >= k0[c] lie in the window
-        k0 = {c: -((c - lo) // e) for c in range(e)}
-        out = {c: (k * r, []) for c, k in k0.items()}
-    else:
-        out = {c: (0, []) for c in range(lo, hi)}
-    for row in range(1, r + 1):
-        floor, betas = a.row_beadset(row)
-        u = r - row
-        if is_finite(e):
-            for c, k in k0.items():
-                out[c][1].extend(range(k * r + u, -((c - floor) // e) * r + u, r))
-            for col in betas:
+        floors = [(floor, r - row) for row, (floor, _) in enumerate(rows, 1)]
+        for c in range(e):
+            ends = [-((c - floor) // e) * r + u for floor, u in floors]
+            t_base = min(ends)
+            levels = []
+            for end in ends:
+                levels.extend(range(end - r, t_base - 1, -r))
+            out[c] = (t_base, levels)
+        for row, (_, extras) in enumerate(rows, 1):
+            for col in extras:
                 k, c = divmod(col, e)
-                out[c][1].append(k * r + u)
-        else:
-            for col in chain(range(lo, floor), betas):
-                out[col][1].append(u)
+                out[c][1].append(k * r + r - row)
+    else:
+        by_level = [(r - row, floor, extras) for row, (floor, extras) in enumerate(rows, 1)]
+        for c in range(*a.bounds()) if cols is None else cols:
+            out[c] = (0, [u for u, floor, extras in by_level if c < floor or c in extras])
     for _, levels in out.values():
         levels.sort(reverse=True)
     return out
@@ -127,9 +148,17 @@ def _listing(paths, e, r: int) -> tuple:
 def _paths_between(a: AbacusPair, b: AbacusPair):
     if a.e != b.e or a.r != b.r:
         raise ValueError("abaci must share quantum characteristic and rank")
-    lo, hi = min(a.bounds()[0], b.bounds()[0]), max(a.bounds()[1], b.bounds()[1])
-    targets = {c: levels for c, (_, levels) in _sub_levels(b, lo, hi).items()}
-    return _bead_paths(_sub_levels(a, lo, hi), targets)
+    cols = None
+    if not is_finite(a.e):
+        cols = range(min(a.bounds()[0], b.bounds()[0]), max(a.bounds()[1], b.bounds()[1]))
+    src, dst = _sub_levels(a, cols), _sub_levels(b, cols)
+    for c, (t_a, levels_a) in src.items():
+        # list both subabaci from the lower of their two bases
+        t_b, levels_b = dst[c]
+        base = min(t_a, t_b)
+        levels_a.extend(range(t_a - 1, base - 1, -1))
+        levels_b.extend(range(t_b - 1, base - 1, -1))
+    return _bead_paths(src, {c: levels for c, (_, levels) in dst.items()})
 
 
 def operation_set_between(a: AbacusPair, b: AbacusPair):
@@ -148,39 +177,56 @@ def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
     return _vector(_paths_between(a, b), a.r)
 
 
-def _core_rows(tops: dict, lo: int, e, r: int) -> list:
-    """Per-row (floor, extras) of the complete abacus whose subabacus c
-    fills exactly the levels below ``tops[c]``.
+def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
+    """The complete abacus whose subabacus c fills exactly the levels
+    below ``tops[c]``, built row by row from the tops.
 
-    Level k*r + (r - row) is column k*e + c, so row ``row`` holds column
-    k*e + c iff k < (top + row - 1) // r.  With infinite e every column
-    below ``lo`` is full, and every column from ``lo`` on that ``tops``
-    leaves out is empty.
+    With finite e, ``tops`` lists c = 0, ..., e - 1 in order.  Level
+    k*r + (r - row) is column k*e + c, so row ``row`` holds column k*e + c
+    iff k < (top + row - 1) // r, and the column of that k is the row's
+    first hole in class c.  With infinite e, ``tops`` lists the columns
+    from ``lo`` on, each its own subabacus: row ``row`` holds column c iff
+    r - row < top, every column left of them is full and every one right
+    of them empty.  Each row is decoded from its first hole: its charge
+    is that column plus the number of beads right of it, and its j-th
+    part is the j-th bead from the right plus j minus the charge.
     """
     rows = []
-    for row in range(1, r + 1):
-        if is_finite(e):
-            ks = {c: (top + row - 1) // r for c, top in tops.items()}
-            floor = min(k * e + c for c, k in ks.items())
-            extras = [k * e + c for c, kc in ks.items() for k in range(-((c - floor) // e), kc)]
-        else:
-            floor = lo
-            extras = [c for c, top in tops.items() if r - row < top]
-        rows.append((floor, extras))
-    return rows
+    if is_finite(e):
+        for row in range(1, r + 1):
+            holes = [(top + row - 1) // r * e + c for c, top in tops.items()]
+            floor = min(holes)
+            beads = [col for col in range(max(holes) - 1, floor, -1) if col < holes[col % e]]
+            rows.append((floor, beads))
+    else:
+        for u in range(r - 1, -1, -1):
+            floor = next((c for c, top in tops.items() if top <= u), lo + len(tops))
+            rows.append((floor, [c for c, top in reversed(tops.items()) if c > floor and u < top]))
+    mp, charge = [], []
+    for floor, beads in rows:
+        s = floor + len(beads)
+        mp.append(tuple(map(add, beads, range(1 - s, len(beads) + 1 - s))))
+        charge.append(s)
+    return AbacusPair._of(tuple(mp), tuple(charge), e)
 
 
 def _core_paths(a: AbacusPair):
     """(core pair, bead paths from the pair to it).
 
     Per subabacus the core fills the levels below t_top = t_base plus
-    the bead count.
+    the bead count, so bead ``idx`` (from the top) goes to t_top - idx.
+    Once one bead is in place every bead below it is too, so each
+    subabacus's paths end at its first bead in place.
     """
-    lo, hi = a.bounds()
-    levels = _sub_levels(a, lo, hi)
-    tops = {c: t_base + len(src) for c, (t_base, src) in levels.items()}
-    targets = {c: range(tops[c] - 1, t_base - 1, -1) for c, (t_base, _) in levels.items()}
-    return pair_from_beads(_core_rows(tops, lo, a.e, a.r), a.e), _bead_paths(levels, targets)
+    tops, paths = {}, []
+    for c, (t_base, src) in _sub_levels(a).items():
+        top = tops[c] = t_base + len(src)
+        for idx, t_from in enumerate(src, start=1):
+            if t_from == top - idx:
+                break
+            paths.append((c, idx, t_from, top - idx))
+    lo = a.bounds()[0] if not is_finite(a.e) else None
+    return _core_pair(tops, lo, a.e, a.r), paths
 
 
 def core(a: AbacusPair):
@@ -192,7 +238,6 @@ def core(a: AbacusPair):
     moves, since they are listed; :func:`core_and_vector` skips that.
     """
     core_pair, paths = _core_paths(a)
-    paths = list(paths)
     return core_pair, _listing(paths, a.e, a.r), _vector(paths, a.r)
 
 
@@ -245,7 +290,7 @@ def rotate_rows(a: AbacusPair, i: int) -> AbacusPair:
         raise ValueError(f"rotation amount {i} out of range 0..{a.r - 1}")
     mp = a.mp[i:] + a.mp[:i]
     charge = a.charge[i:] + tuple(s + a.e for s in a.charge[:i])
-    return AbacusPair(mp, charge, a.e)
+    return AbacusPair._of(mp, charge, a.e)
 
 
 def _check_vector_preconditions(s, s_star, m, e):
@@ -279,7 +324,7 @@ def _moved(a: AbacusPair, src: tuple, dst: tuple) -> AbacusPair:
     rows = _rows_of(a, lo)
     rows[src[0] - 1].discard(src[1])
     rows[dst[0] - 1].add(dst[1])
-    return pair_from_beads([(lo, row) for row in rows], a.e)
+    return _pair_of_beads([(lo, row) for row in rows], a.e)
 
 
 def _construct_last_zero(s: tuple, s_star: tuple, m: tuple, e) -> Multipartition:
@@ -327,9 +372,9 @@ def construct_from_vector(s: Multicharge, s_star: Multicharge, m, e) -> Multipar
     satisfies moving_vector_between(L_s(result), L_{s*}(empty)) == m.
     """
     check_quantum_char(e)
-    s = tuple(int(x) for x in s)
-    s_star = tuple(int(x) for x in s_star)
-    m = tuple(int(x) for x in m)
+    s = check_integers(s, "multicharge")
+    s_star = check_integers(s_star, "target multicharge")
+    m = check_integers(m, "moving vector")
     _check_vector_preconditions(s, s_star, m, e)
     r = len(s)
     if r == 1:

@@ -236,23 +236,21 @@ def multipartitions_of(n: int, r: int) -> Iterator[Multipartition]:
                 yield (head,) + tail
 
 
-def partition_counts(n: int) -> list:
-    """p(0), ..., p(n) by the bounded-part recurrence."""
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for maxpart in range(n + 1):
-        table[maxpart][0] = 1
-    for maxpart in range(1, n + 1):
-        for m in range(1, n + 1):
-            table[maxpart][m] = table[maxpart - 1][m]
-            if m >= maxpart:
-                table[maxpart][m] += table[maxpart][m - maxpart]
-    return table[n]
-
-
 def count_multipartitions(n: int, r: int) -> int:
-    """Number of r-multipartitions of n, without enumerating them."""
-    p = partition_counts(n)
-    q = [1] + [0] * n
-    for _ in range(r):
-        q = [sum(p[k] * q[m - k] for k in range(m + 1)) for m in range(n + 1)]
-    return q[n]
+    """Number of r-multipartitions of n (0 for negative n), without
+    enumerating them.
+
+    The generating function is prod_k (1 - x^k)^(-r), whose logarithmic
+    derivative gives m * a_m = r * sum_{k=1..m} sigma(k) * a_(m-k), with
+    sigma(k) the sum of the divisors of k.
+    """
+    if n < 0:
+        return 0
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for k in range(d, n + 1, d):
+            sigma[k] += d
+    a = [1] + [0] * n
+    for m in range(1, n + 1):
+        a[m] = r * sum(sigma[k] * a[m - k] for k in range(1, m + 1)) // m
+    return a[n]

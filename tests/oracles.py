@@ -4,8 +4,10 @@ Nothing here shares code paths with the analytic implementations: the
 core is recomputed by greedily simulating single bead moves, the
 one-runner e-core by the classic runner pushdown on beta-numbers, the
 Cartan pairings by the pairwise double sum, dominance from every
-cumulative sum recomputed from scratch, and block members by filtering
-all r-multipartitions of n on residue content.  The subabacus moving
+cumulative sum recomputed from scratch, block members by filtering
+all r-multipartitions of n on residue content, and the row differences
+behind incomparability and the witness constructions' bead-over-hole
+columns by scanning columns one at a time.  The subabacus moving
 vector is counted from the moves that ``core`` lists one by one; it
 shares the bead paths with the library and checks the per-subabacus sum.
 """
@@ -223,3 +225,52 @@ def subabacus_moving_vector_by_ops(b, members):
         for op in ops:
             counts[op.col % b.e if is_finite(b.e) else op.col] += 1
     return dict(sorted(counts.items()))
+
+
+def cols_by_scan(model, low_row, high_row, low_bead, high_bead):
+    """Scan columns of a witness-construction model whose (wrapped) low
+    and high rows carry the given bead states, one column at a time."""
+    return [
+        h
+        for h in range(model.lo + 1, model.hi)
+        if model.bead(low_row, h) == low_bead and model.bead(high_row, h) == high_bead
+    ]
+
+
+def row_diffs_by_scan(a, b, row):
+    """Columns where one row of two abaci differs, ascending: every column
+    from the lower floor to the highest beta-number is compared."""
+    (fa, xa), (fb, xb) = [(p.row_floor(row), set(p.row_betas(row))) for p in (a, b)]
+    hi = max(fa, fb, *xa, *xb) + 1
+    return [c for c in range(min(fa, fb), hi) if (c < fa or c in xa) != (c < fb or c in xb)]
+
+
+def incomparable_abaci_by_scan(a, b):
+    """First (k1, i1, k2, i2) in row order: the top difference of row k1
+    is a bead of a, the bottom difference of row k2 a bead of b."""
+    tops, bottoms = [], []
+    for row in range(1, a.r + 1):
+        diffs = row_diffs_by_scan(a, b, row)
+        if not diffs:
+            continue
+        if diffs[-1] in a.row_betas(row) or diffs[-1] < a.row_floor(row):
+            tops.append((row, diffs[-1]))
+        if diffs[0] in b.row_betas(row) or diffs[0] < b.row_floor(row):
+            bottoms.append((row, diffs[0]))
+    for k1, i1 in tops:
+        for k2, i2 in bottoms:
+            if k1 != k2:
+                return (k1, i1, k2, i2)
+    return None
+
+
+def is_incomparable_witness_by_scan(a, b, k1, i1, k2, i2):
+    """The two-coordinate swap pattern: (k1, i1) is a difference with the
+    bead in a and row k1 agrees right of it, (k2, i2) one with the bead in
+    b and row k2 agrees left of it."""
+    if k1 == k2 or not (1 <= k1 <= a.r and 1 <= k2 <= a.r):
+        return False
+    d1, d2 = row_diffs_by_scan(a, b, k1), row_diffs_by_scan(a, b, k2)
+    bead_a = i1 in a.row_betas(k1) or i1 < a.row_floor(k1)
+    bead_b = i2 in b.row_betas(k2) or i2 < b.row_floor(k2)
+    return bool(d1 and d2) and d1[-1] == i1 and bead_a and d2[0] == i2 and bead_b

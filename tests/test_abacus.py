@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akblocks.abacus import (
@@ -15,8 +15,18 @@ from akblocks.abacus import (
     subabacus_diff,
     uglov,
 )
-from akblocks.blocks import alpha_pairing, block_id
-from akblocks.partitions import INFINITY, in_A, in_Abar, multipartitions_of
+from akblocks.blocks import alpha_pairing, block_id, enumerate_block_members, weyl_sigma
+from akblocks.classify import repr_type
+from akblocks.moves import (
+    ElementaryOp,
+    apply_op,
+    core,
+    core_and_vector,
+    remove_rim_hook,
+    rotate_rows,
+)
+from akblocks.partitions import INFINITY, in_A, in_Abar, is_finite, multipartitions_of, size
+from oracles import applicable_ops
 
 partitions_st = st.lists(st.integers(1, 8), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -71,6 +81,18 @@ def test_pair_from_beads_examples():
     lo, hi = source.bounds()
     rows = [(lo, [c for c in range(lo, hi) if source.has_bead(i, c)]) for i in (1, 2, 3)]
     assert pair_from_beads(rows, 3) == source
+
+
+def test_pair_from_beads_rejects_non_integers():
+    for rows in (
+        [(0, [1.5])],
+        [(0, [True])],
+        [(0, ["2"])],
+        [(0.5, [])],
+        [(False, [1])],
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            pair_from_beads(rows, 3)
 
 
 def test_n_right():
@@ -279,3 +301,57 @@ def test_render_parse_round_trip():
             col += 1
         rows.append((lo - 1, beads))
     assert pair_from_beads(rows, 3) == a
+
+
+def assert_canonical(p):
+    """A pair the library built equals its re-validated copy, and its
+    bounds are the least floor and one past the highest bead (at least
+    the least floor)."""
+    assert AbacusPair(p.mp, p.charge, p.e) == p
+    floors = [p.row_floor(i) for i in range(1, p.r + 1)]
+    tops = [max(p.row_betas(i), default=floors[i - 1] - 1) + 1 for i in range(1, p.r + 1)]
+    assert p.bounds() == (min(floors), max(floors + tops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 3), max_size=3).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-6, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    ).filter(lambda rows: sum(sum(p) for p, _ in rows) <= 7),
+    st.sampled_from((2, 3, 5, INFINITY)),
+)
+def test_library_built_pairs_revalidate_unchanged(rows, e):
+    p = AbacusPair(tuple(comp for comp, _ in rows), tuple(s for _, s in rows), e)
+    built = [core(p)[0], core_and_vector(p)[0], dual(p)]
+    if is_finite(e):
+        built += [weyl_sigma(p, j) for j in range(e)]
+        built += [rotate_rows(p, i) for i in range(p.r)]
+        lo, hi = p.bounds()
+        built += [
+            remove_rim_hook(p, row, col)
+            for row in range(1, p.r + 1)
+            for col in range(lo - e, hi)
+            if p.has_bead(row, col + e) and not p.has_bead(row, col)
+        ]
+    else:
+        built += [weyl_sigma(p, j) for j in range(min(p.charge) - 1, max(p.charge) + 2)]
+    built += [apply_op(p, ElementaryOp(row, col, 0)) for row, col in applicable_ops(p)]
+    for q in built:
+        assert_canonical(q)
+    members = enumerate_block_members(block_id(p))
+    assert p.mp in members
+    for mp in members:
+        assert_canonical(AbacusPair._of(mp, p.charge, e))
+        assert size(mp) == p.n
+    # the witness lies over the normalized multicharge
+    report = repr_type(p)
+    if report.witness is not None:
+        assert report.witness.charge == report.normalized_charge
+        for mp in (report.witness.mu, report.witness.nu):
+            assert_canonical(AbacusPair._of(mp, report.normalized_charge, e))
+            assert size(mp) == p.n

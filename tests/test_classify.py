@@ -1,10 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from akblocks.abacus import AbacusPair, dual
 from akblocks.blocks import block_id, defect, enumerate_block_members
 from akblocks.classify import (
+    _BeadRows,
+    _cols_bead_over_empty,
+    _cols_empty_under_bead,
     block_moving_vector,
     derived_equivalent_weight1,
     find_incomparable_pair,
@@ -23,7 +27,13 @@ from akblocks.partitions import (
     multipartitions_of,
     permute,
 )
-from oracles import subabacus_moving_vector_by_ops
+from oracles import (
+    cols_by_scan,
+    incomparable_abaci_by_scan,
+    is_incomparable_witness_by_scan,
+    row_diffs_by_scan,
+    subabacus_moving_vector_by_ops,
+)
 
 LAM332 = ((2, 1, 1), (2, 2, 1, 1), (3, 1, 1), (4, 3, 1, 1))
 MU332 = ((2, 2, 2), (5, 1, 1, 1), (3,), (4, 2, 1))
@@ -296,3 +306,51 @@ def test_repr_type_invariant_under_rotation_and_permutation():
             permute(base.mp, sigma), permute_charge(base.charge, sigma), 3
         )
         assert repr_type(shuffled).verdict == rep.verdict
+
+
+def test_incomparability_matches_column_scan_on_weight_two_sweep(desk_sweep):
+    checked = witnesses = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        e, r, charge = key
+        for bid, entries in grouped.items():
+            if defect(bid) != 2:
+                continue
+            pairs = [AbacusPair(mp, charge, e) for mp, *_ in entries]
+            for a, b in permutations(pairs, 2):
+                coords = incomparable_abaci(a, b)
+                assert coords == incomparable_abaci_by_scan(a, b)
+                witnesses += coords is not None
+                # the end columns of the differences in two distinct rows
+                diffs = {k: row_diffs_by_scan(a, b, k) for k in range(1, r + 1)}
+                ends = {k: {d[0], d[-1]} for k, d in diffs.items() if d}
+                for k1, k2 in permutations(ends, 2):
+                    for i1 in ends[k1]:
+                        for i2 in ends[k2]:
+                            assert is_incomparable_witness(a, b, k1, i1, k2, i2) == (
+                                is_incomparable_witness_by_scan(a, b, k1, i1, k2, i2)
+                            )
+                checked += 1
+    assert checked == 10134 and witnesses > 1000
+
+
+def test_construction_columns_match_column_scan():
+    rng = random.Random(11)
+    for e in (2, 3, 5, INFINITY):
+        for _ in range(30):
+            r = rng.randrange(3, 6)
+            lengths = [rng.randrange(0, 4) for _ in range(r)]
+            mp = tuple(tuple(sorted(rng.choices(range(1, 5), k=k), reverse=True)) for k in lengths)
+            charge = tuple(rng.randrange(-3, 5) for _ in range(r))
+            model = _BeadRows(AbacusPair(mp, charge, e))
+            # rows above r wrap down by e, as the constructions read them
+            top = r + 2 if e != INFINITY else r
+            for low in range(1, top + 1):
+                for high in range(low + 1, top + 1):
+                    assert _cols_bead_over_empty(model, low, high) == cols_by_scan(
+                        model, low, high, True, False
+                    )
+                    assert _cols_empty_under_bead(model, low, high) == cols_by_scan(
+                        model, low, high, False, True
+                    )

@@ -160,6 +160,13 @@ def test_non_integer_input_is_rejected(capsys, job):
         assert json.loads(err)["error"] == "parse" and "integers" in json.loads(err)["detail"]
 
 
+def test_enumerate_rejects_negative_n(capsys):
+    job = json.dumps({"e": 3, "multicharge": [0, 1]})
+    code, out, err = run(capsys, "enumerate", "--n", "-1", job)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse" and "--n" in json.loads(err)["detail"]
+
+
 def test_output_byte_stability(capsys):
     job = json.dumps(PAIR41)
     _, first, _ = run(capsys, "core", job)

@@ -67,6 +67,9 @@ def test_moving_vector_trivial_and_single_move():
 def test_unreachable_targets_rejected():
     with pytest.raises(ValueError):
         moving_vector_between(TARGET, SOURCE)
+    # the core is packed lower than the pair in every subabacus
+    with pytest.raises(ValueError, match="backwards"):
+        moving_vector_between(core(SOURCE)[0], SOURCE)
     with pytest.raises(ValueError):
         moving_vector_between(
             AbacusPair(((1,),), (0,), 2), AbacusPair(((),), (0,), 2)
@@ -386,6 +389,18 @@ def test_construct_from_vector_rejects_bad_charges():
         construct_from_vector((0, 1), (5, 5), (1, 0), 3)
     with pytest.raises(ValueError):
         construct_from_vector((1, 0), (1, 0), (0, 0), 3)
+
+
+def test_construct_from_vector_rejects_non_integers():
+    for s, s_star, m in (
+        ((0, 1.9), (0, 1), (0.2, 0)),
+        ((0, 1), (0, 1.0), (0, 0)),
+        ((0, True), (0, 1), (0, 0)),
+        ((0, 1), (0, 1), (False, 0)),
+        (("0", 1), (0, 1), (0, 0)),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            construct_from_vector(s, s_star, m, 3)
 
 
 def random_vector_instance(rng, e):

@@ -177,6 +177,8 @@ def test_charge_windows():
 
 
 def test_count_multipartitions_matches_enumeration():
-    for r in (1, 2, 3, 4):
-        for n in range(7):
+    for r in (1, 2, 3, 4, 5):
+        for n in range(9):
             assert count_multipartitions(n, r) == len(list(multipartitions_of(n, r)))
+        for n in (-1, -5):
+            assert count_multipartitions(n, r) == 0 == len(list(multipartitions_of(n, r)))
