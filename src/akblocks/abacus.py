@@ -6,13 +6,18 @@ the i-th component.  Every row is cofinite to the left: all columns
 below a computable floor are beaded and all columns above a ceiling are
 empty.  The pair itself is the single source of truth; each row's bead
 set is derived from it once, on first use, and cached on the frozen
-instance.
+instance as (floor, extras): every column below the floor is beaded,
+plus the finitely many beta-numbers in ``extras``.  Every reader takes
+that form and scans no column window: :func:`is_complete` and
+:func:`subabacus_diff` cost O(parts) whatever the charge spread, and
+:func:`uglov` and :func:`render` cost the size of their output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -25,6 +30,7 @@ from .partitions import (
     check_quantum_char,
     conjugate_multi,
     is_finite,
+    residue,
     size,
 )
 
@@ -67,14 +73,12 @@ class AbacusPair:
     def row_floor(self, row: int) -> int:
         """Largest f with every column < f beaded in this row."""
         self._check_row(row)
-        return self.charge[row - 1] - len(self.mp[row - 1])
+        return self._beadsets[row - 1][0]
 
     def row_betas(self, row: int) -> tuple:
         """The finitely many bead columns at or above the floor, descending."""
         self._check_row(row)
-        s = self.charge[row - 1]
-        comp = self.mp[row - 1]
-        return tuple(comp[j] - (j + 1) + s for j in range(len(comp)))
+        return tuple(sorted(self._beadsets[row - 1][1], reverse=True))
 
     @cached_property
     def _beadsets(self) -> tuple:
@@ -95,11 +99,6 @@ class AbacusPair:
         self._check_row(row)
         floor, extras = self._beadsets[row - 1]
         return col < floor or col in extras
-
-    def row_beadset(self, row: int):
-        """(floor, extras): beads are exactly {c < floor} plus the extras."""
-        self._check_row(row)
-        return self._beadsets[row - 1]
 
     def bounds(self) -> tuple:
         """(lo, hi): below lo every row is beaded, from hi on every row is empty."""
@@ -154,34 +153,22 @@ def _pair_of_beads(rows: Sequence, e) -> AbacusPair:
 def n_right(a: AbacusPair, row: int, col: int) -> int:
     """Number of beads strictly right of the given column in one row."""
     a._check_row(row)
-    floor = a.row_floor(row)
-    finite = sum(1 for b in a.row_betas(row) if b > col)
-    return finite + max(0, floor - 1 - col)
-
-
-def column_count(a: AbacusPair, col: int) -> int:
-    """Number of beads in one column (between 0 and r)."""
-    return sum(1 for i in range(1, a.r + 1) if a.has_bead(i, col))
+    floor, extras = a._beadsets[row - 1]
+    return sum(1 for b in extras if b > col) + max(0, floor - 1 - col)
 
 
 def subabacus_diff(a: AbacusPair, j: int) -> int:
     """Bead-count difference between the (j-1)-th and j-th subabacus.
 
-    Computed as the finite sum over k of column-count differences at
-    columns j-1+ke and j+ke; when e is infinite the sum has the single
-    term at columns j-1 and j.
+    Per row, the floor run pairs column j-1+ke with j+ke and leaves one
+    bead over iff the floor is j mod e; each extra bead counts +1 on
+    class j-1 and -1 on class j.  Infinite e has one column per class.
     """
-    lo, hi = a.bounds()
-    if not is_finite(a.e):
-        return column_count(a, j - 1) - column_count(a, j)
-    e = a.e
+    up, down = residue(j - 1, a.e), residue(j, a.e)
     total = 0
-    # k-window wide enough that both paired columns are fully beaded below
-    # it and fully empty above it.
-    k_lo = (lo - (j - 1)) // e - 1
-    k_hi = (hi - (j - 1)) // e + 1
-    for k in range(k_lo, k_hi + 1):
-        total += column_count(a, j - 1 + k * e) - column_count(a, j + k * e)
+    for floor, extras in a._beadsets:
+        residues = [residue(x, a.e) for x in extras]
+        total += (residue(floor, a.e) == down) + residues.count(up) - residues.count(down)
     return total
 
 
@@ -190,17 +177,18 @@ def is_complete(a: AbacusPair) -> bool:
 
     Row i's beads must be contained in row i+1's for i < r, and (for
     finite e) row r's beads shifted down by e must be contained in row 1's.
+    Row (f, x) lies in row (f', x') iff each extra is below f' or in x'
+    and, when f > f', f - f' of the x' lie below f, filling [f', f).
     """
-    lo, hi = a.bounds()
-    for i in range(1, a.r):
-        for col in range(lo, hi):
-            if a.has_bead(i, col) and not a.has_bead(i + 1, col):
-                return False
+    rows = a._beadsets
+    pairs = list(zip(rows, rows[1:]))
     if is_finite(a.e):
-        for col in range(lo, hi):
-            if a.has_bead(a.r, col) and not a.has_bead(1, col - a.e):
-                return False
-    return True
+        floor, extras = rows[-1]
+        pairs.append(((floor - a.e, [x - a.e for x in extras]), rows[0]))
+    return all(
+        (f1 <= f2 or sum(x < f1 for x in x2) == f1 - f2) and all(x < f2 or x in x2 for x in x1)
+        for (f1, x1), (f2, x2) in pairs
+    )
 
 
 def dual(a: AbacusPair) -> AbacusPair:
@@ -232,14 +220,13 @@ def uglov(a: AbacusPair) -> UglovImage:
     if not is_finite(a.e):
         raise ValueError("the one-runner collapse needs finite e")
     e, r = a.e, a.r
-    lo, hi = a.bounds()
+    rows = a._beadsets
+    lo = min(floor for floor, _ in rows)
     positions = []
-    for row in range(1, r + 1):
-        for col in range(lo, hi):
-            if a.has_bead(row, col):
-                c = col % e
-                k = (col - c) // e
-                positions.append((r - row) * e + k * e * r + c)
+    for row, (floor, extras) in enumerate(rows, 1):
+        for col in chain(range(lo, floor), extras):
+            k, c = divmod(col, e)
+            positions.append((r - row) * e + k * e * r + c)
     # columns below lo are fully beaded; of those beads, the ones landing at
     # or above the image floor live at levels t_min <= t < t_base per class
     t_base = {c: (((lo - 1 - c) // e) + 1) * r for c in range(e)}

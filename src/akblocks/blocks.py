@@ -18,6 +18,7 @@ from operator import add, getitem, gt, sub
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
 from .moves import _core_pair, _listing, _sub_levels, _vector
 from .partitions import (
+    check_integers,
     check_quantum_char,
     count_multipartitions,
     is_finite,
@@ -129,6 +130,7 @@ def weyl_sigma(a: AbacusPair, j: int) -> AbacusPair:
     bead difference times the simple root, and applying the same
     reflection twice restores the input.
     """
+    (j,) = check_integers((j,), "reflection index")
     e = a.e
 
     def partner(col: int) -> int:

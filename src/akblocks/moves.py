@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .abacus import AbacusPair, _pair_of_beads, pair_from_beads, row_from_beads
+from .abacus import AbacusPair, row_from_beads
 from .partitions import (
     Multicharge,
     Multipartition,
@@ -286,6 +286,7 @@ def rotate_rows(a: AbacusPair, i: int) -> AbacusPair:
     """Delete the bottom i rows and restack them on top with charges shifted by e."""
     if not is_finite(a.e):
         raise ValueError("row rotation needs finite e")
+    (i,) = check_integers((i,), "rotation amount")
     if not 0 <= i < a.r:
         raise ValueError(f"rotation amount {i} out of range 0..{a.r - 1}")
     mp = a.mp[i:] + a.mp[:i]
@@ -309,22 +310,22 @@ def _check_vector_preconditions(s, s_star, m, e):
             )
 
 
-def _rows_of(a: AbacusPair, lo: int):
-    """Each row's beads at or above ``lo``, as mutable sets."""
-    rows = []
-    for i in range(1, a.r + 1):
-        floor, extras = a.row_beadset(i)
-        rows.append(set(extras) | set(range(lo, floor)))
-    return rows
-
-
 def _moved(a: AbacusPair, src: tuple, dst: tuple) -> AbacusPair:
-    """The pair with the bead at ``src`` moved to the empty ``dst``."""
-    lo = min(a.bounds()[0], src[1], dst[1]) - 1
-    rows = _rows_of(a, lo)
-    rows[src[0] - 1].discard(src[1])
-    rows[dst[0] - 1].add(dst[1])
-    return _pair_of_beads([(lo, row) for row in rows], a.e)
+    """The pair with the bead at ``src`` moved to the empty ``dst``.  Only
+    the rows of the two positions are rebuilt, each from the lower of its
+    floor and the column (an empty ``dst`` is never below the floor)."""
+    rows = {}
+    for row, col in (src, dst):
+        if row not in rows:
+            floor, extras = a._beadsets[row - 1]
+            lo = min(floor, col)
+            rows[row] = (lo, set(extras).union(range(lo, floor)))
+    rows[src[0]][1].discard(src[1])
+    rows[dst[0]][1].add(dst[1])
+    mp, charge = list(a.mp), list(a.charge)
+    for row, (lo, beads) in rows.items():
+        mp[row - 1], charge[row - 1] = row_from_beads(lo, beads)
+    return AbacusPair._of(tuple(mp), tuple(charge), a.e)
 
 
 def _construct_last_zero(s: tuple, s_star: tuple, m: tuple, e) -> Multipartition:
@@ -398,12 +399,9 @@ def construct_from_vector(s: Multicharge, s_star: Multicharge, m, e) -> Multipar
     s_star_rot = tuple(x - e for x in s_star[i:]) + s_star[:i]
     m_rot = tuple(x - m_min for x in m[i:] + m[:i - 1]) + (0,)
     mu = _construct_last_zero(s_rot, s_star_rot, m_rot, e)
+    # lift the top bead of row 1 by m_min * e
     pair = AbacusPair(mu, s_rot, e)
-    lo = pair.bounds()[0] - 1
-    rows = _rows_of(pair, lo)
-    top = max(rows[0])
-    rows[0].discard(top)
-    rows[0].add(top + m_min * e)
-    lifted = pair_from_beads([(lo, sorted(row)) for row in rows], e)
-    lam_bar = lifted.mp
+    floor, extras = pair._beadsets[0]
+    top = max(extras, default=floor - 1)
+    lam_bar = _moved(pair, (1, top), (1, top + m_min * e)).mp
     return lam_bar[r - i:] + lam_bar[:r - i]

@@ -4,8 +4,8 @@ Ground types for the whole library.  Partitions are plain tuples of
 weakly decreasing positive integers (trailing zeros never stored),
 multipartitions are tuples of partitions, multicharges are tuples of
 integers.  The quantum characteristic ``e`` is either an integer >= 2
-or ``INFINITY``; all modular arithmetic is routed through :func:`residue`
-so that the infinite case is handled uniformly.
+or ``INFINITY``; modular arithmetic (bar the inline node loop of
+:func:`residue_content`) goes through :func:`residue` for uniformity.
 """
 
 from __future__ import annotations
@@ -152,18 +152,28 @@ def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
 def residue_content(m: Multipartition, charge: Multicharge, e) -> dict:
     """Counts of nodes by residue: node (i, j, k) contributes j - i + s_k mod e.
 
-    Zero counts are never stored, so equal dicts mean equal contents.
+    Row i of component k holds the content run s_k + 1 - i, ...,
+    s_k + part_i - i: with finite e, part_i // e full cycles of residues
+    and a short run.  Zero counts are never stored, so equal dicts mean
+    equal contents.
     """
     check_quantum_char(e)
     if len(m) != len(charge):
         raise ValueError("multipartition and multicharge rank mismatch")
+    finite = is_finite(e)
     counts: dict = {}
-    for k, comp in enumerate(m):
-        s_k = charge[k]
-        for i, row in enumerate(comp, start=1):
-            for j in range(1, row + 1):
-                f = residue(j - i + s_k, e)
+    cycles = 0
+    for comp, start in zip(m, charge):
+        for part in comp:  # row i's run starts at s_k + 1 - i
+            if finite and part >= e:
+                q, part = divmod(part, e)
+                cycles += q
+            for x in range(start, start + part):
+                f = x % e if finite else x
                 counts[f] = counts.get(f, 0) + 1
+            start -= 1
+    for f in range(e if cycles else 0):
+        counts[f] = counts.get(f, 0) + cycles
     return counts
 
 

@@ -7,7 +7,9 @@ Cartan pairings by the pairwise double sum, dominance from every
 cumulative sum recomputed from scratch, block members by filtering
 all r-multipartitions of n on residue content, and the row differences
 behind incomparability and the witness constructions' bead-over-hole
-columns by scanning columns one at a time.  The subabacus moving
+columns by scanning columns one at a time, as are the nesting test of
+complete abaci and the subabacus bead-count differences.  The residue
+content is tallied node by node.  The subabacus moving
 vector is counted from the moves that ``core`` lists one by one; it
 shares the bead paths with the library and checks the per-subabacus sum.
 """
@@ -138,6 +140,42 @@ def ecore_one_runner(partition, charge, e):
 
     core_part, core_charge = row_from_beads(e * b_min, core_positions)
     return core_part, core_charge, weight
+
+
+def column_count(a, col):
+    """Number of beads in one column (between 0 and r)."""
+    return sum(1 for i in range(1, a.r + 1) if a.has_bead(i, col))
+
+
+def subabacus_diff_by_scan(a, j):
+    """Bead-count difference between the (j-1)-th and j-th subabacus, as
+    the sum over k of the column-count differences at columns j-1+ke and
+    j+ke over a k-window past which both columns are full or empty; with
+    infinite e the single term at columns j-1 and j."""
+    lo, hi = a.bounds()
+    if not is_finite(a.e):
+        return column_count(a, j - 1) - column_count(a, j)
+    e = a.e
+    k_lo = (lo - (j - 1)) // e - 1
+    k_hi = (hi - (j - 1)) // e + 1
+    return sum(
+        column_count(a, j - 1 + k * e) - column_count(a, j + k * e) for k in range(k_lo, k_hi + 1)
+    )
+
+
+def is_complete_by_scan(a):
+    """Row bead sets nested, and row r shifted down by e inside row 1 for
+    finite e, checked column by column over the pair's bounds."""
+    lo, hi = a.bounds()
+    for i in range(1, a.r):
+        for col in range(lo, hi):
+            if a.has_bead(i, col) and not a.has_bead(i + 1, col):
+                return False
+    if is_finite(a.e):
+        for col in range(lo, hi):
+            if a.has_bead(a.r, col) and not a.has_bead(1, col - a.e):
+                return False
+    return True
 
 
 def tally_residues(mp, charge, e):

@@ -25,8 +25,16 @@ from akblocks.moves import (
     remove_rim_hook,
     rotate_rows,
 )
-from akblocks.partitions import INFINITY, in_A, in_Abar, is_finite, multipartitions_of, size
-from oracles import applicable_ops
+from akblocks.partitions import (
+    INFINITY,
+    in_A,
+    in_Abar,
+    is_finite,
+    multipartitions_of,
+    residue_content,
+    size,
+)
+from oracles import applicable_ops, is_complete_by_scan, subabacus_diff_by_scan
 
 partitions_st = st.lists(st.integers(1, 8), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -355,3 +363,72 @@ def test_library_built_pairs_revalidate_unchanged(rows, e):
         for mp in (report.witness.mu, report.witness.nu):
             assert_canonical(AbacusPair._of(mp, report.normalized_charge, e))
             assert size(mp) == p.n
+
+
+raw_rows_st = st.lists(
+    st.tuples(partitions_st, st.integers(-20, 20)),  # unsorted charges, spread <= 40
+    min_size=1,
+    max_size=5,
+)
+
+
+def reader_indices(pair):
+    """Every residue for finite e (and a few outside 0..e-1); for infinite
+    e every column of the pair's bounds and two past each end."""
+    lo, hi = pair.bounds()
+    return range(-pair.e, 2 * pair.e) if is_finite(pair.e) else range(lo - 2, hi + 2)
+
+
+def assert_readers_match_scans(pair):
+    assert is_complete(pair) == is_complete_by_scan(pair)
+    for j in reader_indices(pair):
+        assert subabacus_diff(pair, j) == subabacus_diff_by_scan(pair, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_rows_st, st.sampled_from((2, 3, 5, INFINITY)))
+def test_readers_match_column_scans_on_raw_charges(rows, e):
+    p = AbacusPair(tuple(comp for comp, _ in rows), tuple(s for _, s in rows), e)
+    assert_readers_match_scans(p)
+    cp = core_and_vector(p)[0]
+    assert is_complete(cp)
+    assert_readers_match_scans(cp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-10, 10),
+    st.lists(st.lists(st.integers(-12, 12), max_size=4), min_size=1, max_size=5),
+    st.sampled_from((2, 3, 5)),
+)
+def test_readers_match_column_scans_on_nested_rows(floor, adds, e):
+    """Rows nested bottom to top by construction, so only the wrap
+    condition can fail; the top row then gains a bead more than e
+    columns above row 1's top bead, which breaks the wrap alone."""
+    rows, beads = [], set(range(floor - 1, floor))
+    for extra in adds:
+        beads |= {c for c in extra if c >= floor - 1}
+        rows.append((floor - 1, sorted(beads)))
+    p = pair_from_beads(rows, e)
+    assert_readers_match_scans(p)
+    top = max(rows[0][1])
+    rows[-1] = (floor - 1, rows[-1][1] + [max(top + e, *rows[-1][1]) + 1])
+    broken = pair_from_beads(rows, e)
+    # still nested: with infinite e the scan checks no wrap
+    assert is_complete_by_scan(AbacusPair(broken.mp, broken.charge, INFINITY))
+    assert not is_complete(broken)
+    assert_readers_match_scans(broken)
+
+
+def test_readers_ignore_charge_spread():
+    """Every call below reads each row's floor and beta-numbers; one
+    that scanned the columns between the two charges would not finish."""
+    s = 10**12
+    a = AbacusPair(((3, 1), (2,)), (0, s), 3)
+    assert not is_complete(a)
+    bid = block_id(a)
+    assert [subabacus_diff(a, j) for j in range(3)] == [alpha_pairing(bid, j) for j in range(3)]
+    assert residue_content(a.mp, a.charge, 3) == residue_content(a.mp, (0, s % 3), 3)
+    # a second-kind move from the top row
+    b = apply_op(a, ElementaryOp(2, s + 1, 0))
+    assert b == AbacusPair(((s - 2, 3, 1), ()), (1, s - 1), 3)

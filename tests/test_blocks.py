@@ -106,6 +106,12 @@ def test_weyl_sigma_properties():
                 assert shift == alpha_pairing(block_id(a), j)
 
 
+@pytest.mark.parametrize("j", [1.5, True, "2"])
+def test_weyl_sigma_rejects_non_integers(j):
+    with pytest.raises(ValueError, match="integers"):
+        weyl_sigma(AbacusPair(((2, 1), (1,)), (0, 1), 3), j)
+
+
 def test_weyl_reflection_formula():
     # (alpha_j, Lambda - beta') = -(alpha_j, Lambda - beta) after reflecting at j
     rng = random.Random(29)

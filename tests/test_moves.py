@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akblocks.abacus import AbacusPair, is_complete, uglov
@@ -19,7 +19,7 @@ from akblocks.moves import (
     rotate_rows,
 )
 from akblocks.partitions import INFINITY, in_Abar, size
-from oracles import greedy_core, greedy_ops_to, t_key
+from oracles import applicable_ops, greedy_core, greedy_ops_to, t_key
 
 SOURCE = AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3)
 TARGET = AbacusPair(((), (4, 3, 1), (3, 2)), (0, 1, 2), 3)
@@ -246,6 +246,12 @@ def test_rotate_rows():
         rotate_rows(AbacusPair(((1,),), (0,), INFINITY), 0) and None
     with pytest.raises(ValueError):
         rotate_rows(a, 3)
+
+
+@pytest.mark.parametrize("i", [1.5, True, "2"])
+def test_rotate_rows_rejects_non_integers(i):
+    with pytest.raises(ValueError, match="integers"):
+        rotate_rows(SOURCE, i)
 
 
 def test_rotation_shifts_core_moving_vector():
@@ -515,3 +521,67 @@ def test_has_bead_matches_beta_numbers(rows, e):
         betas = {comp[j - 1] - j + s for j in range(1, len(comp) + 1)}
         for col in range(s - len(comp) - 3, s + (comp[0] if comp else 0) + 3):
             assert a.has_bead(row, col) == (col < s - len(comp) or col in betas)
+
+
+def moved_beads(a, b):
+    """(positions beaded in a only, positions beaded in b only), compared
+    column by column past both pairs' bounds."""
+    lo = min(a.bounds()[0], b.bounds()[0]) - 1
+    hi = max(a.bounds()[1], b.bounds()[1]) + 1
+    cells = [(row, col) for row in range(1, a.r + 1) for col in range(lo, hi)]
+    return (
+        {x for x in cells if a.has_bead(*x) and not b.has_bead(*x)},
+        {x for x in cells if b.has_bead(*x) and not a.has_bead(*x)},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 6), max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-20, 20),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from((2, 3, 5, INFINITY)),
+)
+def test_single_moves_move_exactly_one_bead(rows, e):
+    a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
+    for row, col in applicable_ops(a):
+        dst = (row + 1, col) if row < a.r else (1, col - e)
+        assert moved_beads(a, apply_op(a, ElementaryOp(row, col, 0))) == ({(row, col)}, {dst})
+    if e == INFINITY:
+        return
+    lo, hi = a.bounds()
+    for row in range(1, a.r + 1):
+        for col in range(lo - e, hi):
+            if a.has_bead(row, col + e) and not a.has_bead(row, col):
+                b = remove_rim_hook(a, row, col)
+                assert moved_beads(a, b) == ({(row, col + e)}, {(row, col)})
+
+
+def test_construct_from_vector_lifts_one_bead():
+    """Lowering every vector entry by min(m) keeps the charge condition
+    and gives the construction before its top bead is lifted: the two
+    results differ by one bead raised min(m) * e columns in one row."""
+    rng = random.Random(61)
+    lifted = 0
+    for _ in range(150):
+        e = rng.choice((2, 3, 5))
+        inst = random_vector_instance(rng, e)
+        if inst is None:
+            continue
+        s, s_star, m = inst
+        low = min(m)
+        a = AbacusPair(construct_from_vector(s, s_star, m, e), s, e)
+        base = tuple(x - low for x in m)
+        b = AbacusPair(construct_from_vector(s, s_star, base, e), s, e)
+        if low == 0:
+            assert a == b
+            continue
+        (src,), (dst,) = moved_beads(b, a)
+        assert src[0] == dst[0] and dst[1] == src[1] + low * e
+        lifted += 1
+    assert lifted >= 10
