@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, islice, product
 from operator import add, getitem, gt, sub
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
 from .moves import _core_pair, _listing, _sub_levels, _vector
 from .partitions import (
+    _multipartition_counts,
     check_integers,
     check_quantum_char,
-    count_multipartitions,
     is_finite,
     residue,
     residue_content,
@@ -36,6 +36,19 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"estimated {estimate} candidates exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
+
+
+def _check_budget(n: int, r: int, budget: int) -> None:
+    """Raise :class:`BudgetExceeded` if p_r(n), the number of
+    r-multipartitions of n, exceeds the budget.
+
+    p_r(m) never decreases as m grows, so the recurrence stops at the
+    first m <= n whose count exceeds the budget and names that count:
+    the check costs no more than the budget allows, however large n is.
+    """
+    for estimate in islice(_multipartition_counts(r), n + 1):
+        if estimate > budget:
+            raise BudgetExceeded(estimate, budget)
 
 
 @dataclass(frozen=True)
@@ -185,9 +198,7 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     :class:`BudgetExceeded` is raised when that estimate exceeds it.
     """
     r = len(b.charge)
-    estimate = count_multipartitions(b.n, r)
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+    _check_budget(b.n, r, budget)
     e = b.e
     content = b.content_dict()
     if sum(content.values()) != b.n or any(

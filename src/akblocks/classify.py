@@ -400,6 +400,13 @@ def _witness_by_construction(member: AbacusPair, b: BlockId):
             return None
         return _transport_witness(w, sigma, b.charge, charge_norm, b.e, b)
     core_pair, _ = core_and_vector(member)
+    return _constructed_witness(member, core_pair, b)
+
+
+def _constructed_witness(member: AbacusPair, core_pair: AbacusPair, b: BlockId):
+    """Run the pattern constructions on the core, the member and their
+    duals; the member lies in ``b`` over a normalized multicharge and
+    ``core_pair`` is its core."""
     seeds = [core_pair, member, dual(core_pair), dual(member)]
     for idx, seed in enumerate(seeds):
         dualized = idx >= 2
@@ -416,6 +423,25 @@ def _witness_by_construction(member: AbacusPair, b: BlockId):
             witness = _witness_from(mu, nu, coords, b)
             if witness:
                 return witness
+    return None
+
+
+def _witness_by_scan(members, charge, b: BlockId, pair_budget: int):
+    """The first witness among the ordered pairs of ``members`` (over
+    ``charge``), comparing at most ``pair_budget`` pairs."""
+    compared = 0
+    for x, y in combinations(members, 2):
+        if compared >= pair_budget:
+            break
+        compared += 1
+        pa = AbacusPair._of(x, charge, b.e)
+        pb = AbacusPair._of(y, charge, b.e)
+        for first, second in ((pa, pb), (pb, pa)):
+            coords = incomparable_abaci(first, second)
+            if coords:
+                witness = _witness_from(first, second, coords, b)
+                if witness:
+                    return witness
     return None
 
 
@@ -448,20 +474,7 @@ def find_incomparable_pair(
         return witness
     if members is None:
         members = enumerate_block_members(b, budget=enumeration_budget)
-    compared = 0
-    for x, y in combinations(members, 2):
-        if compared >= pair_budget:
-            break
-        compared += 1
-        pa = AbacusPair._of(x, seed.charge, b.e)
-        pb = AbacusPair._of(y, seed.charge, b.e)
-        for first, second in ((pa, pb), (pb, pa)):
-            coords = incomparable_abaci(first, second)
-            if coords:
-                witness = _witness_from(first, second, coords, b)
-                if witness:
-                    return witness
-    return None
+    return _witness_by_scan(members, seed.charge, b, pair_budget)
 
 
 def block_moving_vector(p: AbacusPair):
@@ -518,7 +531,7 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
     """
     charge_norm, sigma = normalize_multicharge(p.charge, p.e)
     q = AbacusPair._of(permute(p.mp, sigma), charge_norm, p.e)
-    mv, _ = block_moving_vector(q)
+    mv, core_pair = block_moving_vector(q)
     w = sum(mv)
     report = dict(
         weight=w,
@@ -555,9 +568,12 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
                 )
     witness = None
     if r >= 2 and witness_budget > 0:
+        # find_incomparable_pair's search, without re-checking q or
+        # recomputing its block and core
+        bid = block_id(q)
         try:
-            witness = find_incomparable_pair(
-                block_id(q), member=q.mp, pair_budget=witness_budget
+            witness = _constructed_witness(q, core_pair, bid) or _witness_by_scan(
+                enumerate_block_members(bid), charge_norm, bid, witness_budget
             )
         except BudgetExceeded:
             witness = None

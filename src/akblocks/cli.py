@@ -253,9 +253,7 @@ def _cmd_enumerate(job, args):
     charge = tuple(job.get("multicharge", ()))
     if not charge:
         raise JobError("missing field 'multicharge'")
-    estimate = partitions.count_multipartitions(args.n, len(charge))
-    if estimate > _budget():
-        raise blocks.BudgetExceeded(estimate, _budget())
+    blocks._check_budget(args.n, len(charge), _budget())
     grouped: dict = {}
     for mp in partitions.multipartitions_of(args.n, len(charge)):
         bid = blocks.block_id(AbacusPair(mp, charge, e))

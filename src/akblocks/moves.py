@@ -24,13 +24,16 @@ k < (top + row - 1) // r.  A bead's path is a run of levels, and the
 move at level t lies in row r - (t mod r), so the moving vector follows
 from the levels alone.  :func:`core` costs O(number of moves) on top,
 because the move list is its output; :func:`core_and_vector` does not
-pay that.  Pairs built here from validated pairs skip re-validation.
+pay that.  Each move is an :class:`ElementaryOp`, a named tuple built at
+the cost of a plain tuple, so it also compares equal to its
+``(row, col, index)`` tuple.  Pairs built here from validated pairs
+skip re-validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .abacus import AbacusPair, row_from_beads
 from .partitions import (
@@ -43,9 +46,12 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class ElementaryOp:
-    """One bead move, recorded by its source position and bead index."""
+class ElementaryOp(NamedTuple):
+    """One bead move, recorded by its source position and bead index.
+
+    A named tuple: it orders and hashes as ``(row, col, index)`` and
+    compares equal to that plain tuple.
+    """
 
     row: int
     col: int
@@ -134,15 +140,16 @@ def _listing(paths, e, r: int) -> tuple:
     """The moves along the paths, each bead's from the top level down.
 
     The move at level t of subabacus c leaves the position of that
-    level: level k*r + (r - row) is column k*e + c.
+    level: level k*r + (r - row) is column k*e + c.  Each op is built
+    with ``tuple.__new__``, skipping the named tuple's argument parsing.
     """
     step = e if is_finite(e) else 0  # with infinite e every level is below r
-    ops = []
-    for c, idx, t_from, t_to in paths:
-        for t in range(t_from, t_to, -1):
-            k, u = divmod(t, r)
-            ops.append(ElementaryOp(r - u, k * step + c, idx))
-    return tuple(ops)
+    new = tuple.__new__
+    return tuple(
+        new(ElementaryOp, (r - t % r, t // r * step + c, idx))
+        for c, idx, t_from, t_to in paths
+        for t in range(t_from, t_to, -1)
+    )
 
 
 def _paths_between(a: AbacusPair, b: AbacusPair):
@@ -236,6 +243,8 @@ def core(a: AbacusPair):
     moves: per subabacus, the beads fill the maximal down-set of the
     t-order with the same bead count.  The cost grows with the number of
     moves, since they are listed; :func:`core_and_vector` skips that.
+    Each move is one small tuple, an :class:`ElementaryOp` equal to its
+    ``(row, col, index)`` tuple.
     """
     core_pair, paths = _core_paths(a)
     return core_pair, _listing(paths, a.e, a.r), _vector(paths, a.r)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import count, islice
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
@@ -246,21 +248,35 @@ def multipartitions_of(n: int, r: int) -> Iterator[Multipartition]:
                 yield (head,) + tail
 
 
-def count_multipartitions(n: int, r: int) -> int:
-    """Number of r-multipartitions of n (0 for negative n), without
-    enumerating them.
+def _divisor_sum(m: int) -> int:
+    """sigma(m), the sum of the divisors of m, by trial division up to sqrt(m)."""
+    root = math.isqrt(m)
+    total = 0
+    for d in range(1, root + 1):
+        if m % d == 0:
+            total += d + m // d
+    return total - root if root * root == m else total
+
+
+def _multipartition_counts(r: int) -> Iterator[int]:
+    """Yield a_0, a_1, ..., with a_m the number of r-multipartitions of m.
 
     The generating function is prod_k (1 - x^k)^(-r), whose logarithmic
     derivative gives m * a_m = r * sum_{k=1..m} sigma(k) * a_(m-k), with
-    sigma(k) the sum of the divisors of k.
+    sigma(k) the sum of the divisors of k.  Each step finds sigma(m) by
+    trial division, so nothing is sized by a final m up front.
     """
+    sigma, a = [], [1]
+    yield 1
+    for m in count(1):
+        sigma.append(_divisor_sum(m))
+        a.append(r * sum(map(mul, sigma, reversed(a))) // m)
+        yield a[m]
+
+
+def count_multipartitions(n: int, r: int) -> int:
+    """Number of r-multipartitions of n (0 for negative n), without
+    enumerating them."""
     if n < 0:
         return 0
-    sigma = [0] * (n + 1)
-    for d in range(1, n + 1):
-        for k in range(d, n + 1, d):
-            sigma[k] += d
-    a = [1] + [0] * n
-    for m in range(1, n + 1):
-        a[m] = r * sum(sigma[k] * a[m - k] for k in range(1, m + 1)) // m
-    return a[n]
+    return next(islice(_multipartition_counts(r), n, None))

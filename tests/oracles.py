@@ -12,9 +12,12 @@ complete abaci and the subabacus bead-count differences.  The residue
 content is tallied node by node.  The subabacus moving
 vector is counted from the moves that ``core`` lists one by one; it
 shares the bead paths with the library and checks the per-subabacus sum.
+The operation set is listed from the same bead paths one level at a
+time with ``divmod``, as records of a frozen dataclass.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 from akblocks.abacus import AbacusPair
@@ -29,6 +32,28 @@ from akblocks.partitions import (
     residue_content,
     size,
 )
+
+
+@dataclass(frozen=True, order=True)
+class LevelOp:
+    """One listed move as a frozen dataclass: source row and column, bead index."""
+
+    row: int
+    col: int
+    index: int
+
+
+def listing_by_levels(paths, e, r):
+    """The moves along bead paths (c, idx, t_from, t_to), each bead's from
+    its top level down: the move at level t = k*r + u of subabacus c
+    leaves row r - u, column k*e + c (column c when e is infinite)."""
+    step = e if is_finite(e) else 0
+    ops = []
+    for c, idx, t_from, t_to in paths:
+        for t in range(t_from, t_to, -1):
+            k, u = divmod(t, r)
+            ops.append(LevelOp(r - u, k * step + c, idx))
+    return ops
 
 
 def t_key(pair, row, col):

@@ -7,6 +7,7 @@ from akblocks.blocks import (
     BlockId,
     BudgetExceeded,
     CartanData,
+    _check_budget,
     alpha_pairing,
     block_id,
     defect,
@@ -17,7 +18,7 @@ from akblocks.blocks import (
 )
 from akblocks.classify import block_moving_vector
 from akblocks.moves import core
-from akblocks.partitions import INFINITY, in_A, permute, permute_charge
+from akblocks.partitions import INFINITY, count_multipartitions, in_A, permute, permute_charge
 from oracles import (
     alpha_pairing_pairwise,
     block_members_by_filter,
@@ -204,6 +205,23 @@ def test_enumerate_block_budget():
     with pytest.raises(BudgetExceeded) as err:
         enumerate_block_members(block_id(p), budget=3)
     assert err.value.estimate == 9
+
+
+def test_budget_gate_matches_full_count():
+    """The gate stops at the first p_r(m) over the budget, m <= n; since
+    p_r never decreases, it refuses exactly when p_r(n) exceeds the budget."""
+    for r in (1, 2, 3, 5):
+        for n in range(-1, 25):
+            full = count_multipartitions(n, r)
+            for budget in (0, 1, 4, 100, 10**4, full, max(full - 1, 0)):
+                try:
+                    _check_budget(n, r, budget)
+                    estimate = None
+                except BudgetExceeded as exc:
+                    estimate = exc.estimate
+                assert (estimate is not None) == (full > budget)
+                if estimate is not None:
+                    assert budget < estimate <= full
 
 
 def test_members_share_core_and_vector():

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from akblocks import moves
 from akblocks.abacus import AbacusPair, dual
 from akblocks.blocks import block_id, defect, enumerate_block_members
 from akblocks.classify import (
@@ -186,6 +187,23 @@ def test_repr_type_infinite_attaches_witness_when_it_exists():
         pa = AbacusPair(rep.witness.mu, rep.witness.charge, 4)
         pb = AbacusPair(rep.witness.nu, rep.witness.charge, 4)
         assert is_incomparable_witness(pa, pb, *rep.witness.coords)
+
+
+def test_repr_type_witness_search_reuses_its_core(monkeypatch):
+    """repr_type finds the witness find_incomparable_pair finds over the
+    normalized pair, by construction (LAM332) or by the member scan (the
+    second pair), and computes the pair's core once."""
+    for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (2,)), (0, 0, 1), 2)):
+        rep = repr_type(p)
+        q = AbacusPair(permute(p.mp, rep.sigma), rep.normalized_charge, p.e)
+        assert rep.witness is not None
+        assert rep.witness == find_incomparable_pair(block_id(q), member=q.mp)
+        cores = []
+        core_paths = moves._core_paths
+        monkeypatch.setattr(moves, "_core_paths", lambda a: cores.append(a) or core_paths(a))
+        assert repr_type(p) == rep
+        monkeypatch.undo()
+        assert cores == [q]
 
 
 def test_repr_type_small_rank_weight_rule():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -165,6 +166,49 @@ def test_enumerate_rejects_negative_n(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "-1", job)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "parse" and "--n" in json.loads(err)["detail"]
+
+
+# `akblocks core` and `mv` on the README quickstart pair, byte for byte: the
+# serialized operation set must not depend on the Python type of an op
+CORE_GOLDEN = (
+    '{"core":{"e":3,"multicharge":[0,1,2],"multipartition":[[],[2],[1,1]]},"moving_vector":[4,5,4],'
+    '"operation_set":[{"col":4,"index":1,"row":2},{"col":4,"index":1,"row":3},'
+    '{"col":1,"index":1,"row":1},{"col":1,"index":1,"row":2},{"col":4,"index":2,"row":3},'
+    '{"col":1,"index":2,"row":1},{"col":1,"index":2,"row":2},{"col":1,"index":2,"row":3},'
+    '{"col":1,"index":3,"row":1},{"col":1,"index":3,"row":2},{"col":1,"index":3,"row":3},'
+    '{"col":-2,"index":3,"row":1},{"col":-2,"index":4,"row":2}]}'
+)
+MV_GOLDEN = (
+    '{"moving_vector":[1,2,1],"operation_set":[{"col":1,"index":3,"row":1},'
+    '{"col":1,"index":3,"row":2},{"col":1,"index":3,"row":3},{"col":-2,"index":4,"row":2}]}'
+)
+
+
+def test_core_and_mv_match_golden_output(capsys):
+    code, out, _ = run(capsys, "core", json.dumps(PAIR41))
+    assert code == 0 and out == CORE_GOLDEN + "\n"
+    job = dict(PAIR41, target_multicharge=[0, 1, 2], target_multipartition=[[], [4, 3, 1], [3, 2]])
+    code, out, _ = run(capsys, "mv", json.dumps(job))
+    assert code == 0 and out == MV_GOLDEN + "\n"
+
+
+@pytest.mark.parametrize("n", ["1000000000", "100000"])
+def test_enumerate_budget_stops_early(capsys, monkeypatch, n):
+    """The budget gate stops counting once p_r(m) passes the budget, so a
+    huge --n exits 3 at once instead of counting p_r(n) in full."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--n", n, json.dumps({"e": 2, "multicharge": [0, 0, 0]}))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
+def test_enumerate_budget_names_first_count_over_it(capsys, monkeypatch):
+    monkeypatch.setenv("ABACUS_BUDGET", "100")
+    code, out, err = run(capsys, "enumerate", "--n", "6", json.dumps({"e": 2, "multicharge": [0, 0, 0]}))
+    assert code == 3 and out == ""
+    assert json.loads(err)["detail"] == "estimated 108 candidates exceeds budget 100"
 
 
 def test_output_byte_stability(capsys):

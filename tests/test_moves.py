@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from akblocks.abacus import AbacusPair, is_complete, uglov
 from akblocks.moves import (
     ElementaryOp,
+    _core_paths,
+    _paths_between,
     apply_op,
     construct_from_vector,
     core,
@@ -19,7 +21,7 @@ from akblocks.moves import (
     rotate_rows,
 )
 from akblocks.partitions import INFINITY, in_Abar, size
-from oracles import applicable_ops, greedy_core, greedy_ops_to, t_key
+from oracles import applicable_ops, greedy_core, greedy_ops_to, listing_by_levels, t_key
 
 SOURCE = AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3)
 TARGET = AbacusPair(((), (4, 3, 1), (3, 2)), (0, 1, 2), 3)
@@ -585,3 +587,52 @@ def test_construct_from_vector_lifts_one_bead():
         assert src[0] == dst[0] and dst[1] == src[1] + low * e
         lifted += 1
     assert lifted >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 9), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-20, 20),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from((2, 3, 5, INFINITY)),
+)
+def test_listing_matches_level_oracle(rows, e):
+    """Raw, unsorted charges of spread <= 40: the operation sets of
+    ``core`` and ``operation_set_between`` are tuples of ElementaryOps
+    equal, element by element, to the per-level listing of their paths."""
+    a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
+    core_pair, ops, _ = core(a)
+    between, _ = operation_set_between(a, core_pair)
+    for listed, paths in ((ops, _core_paths(a)[1]), (between, list(_paths_between(a, core_pair)))):
+        assert type(listed) is tuple
+        assert all(type(op) is ElementaryOp for op in listed)
+        expected = listing_by_levels(paths, e, a.r)
+        assert [(op.row, op.col, op.index) for op in listed] == [(o.row, o.col, o.index) for o in expected]
+
+
+def test_elementary_op_contract():
+    """Field names, repr, tuple ordering, hashing and immutability; an op
+    compares equal to its plain (row, col, index) tuple."""
+    op = ElementaryOp(1, 2, 3)
+    assert ElementaryOp._fields == ("row", "col", "index")
+    assert (op.row, op.col, op.index) == (1, 2, 3)
+    assert repr(op) == "ElementaryOp(row=1, col=2, index=3)"
+    assert op == (1, 2, 3) and hash(op) == hash((1, 2, 3))
+    ops = [ElementaryOp(2, 0, 1), ElementaryOp(1, 5, 2), ElementaryOp(1, 5, 1), ElementaryOp(1, -3, 4)]
+    assert sorted(ops) == [ElementaryOp(1, -3, 4), ElementaryOp(1, 5, 1), ElementaryOp(1, 5, 2), ElementaryOp(2, 0, 1)]
+    assert {op, ElementaryOp(1, 2, 3), ElementaryOp(1, 2, 4)} == {(1, 2, 3), (1, 2, 4)}
+    assert op in {ElementaryOp(1, 2, 3)} and (1, 2, 3) in {op}
+    with pytest.raises(AttributeError):
+        op.row = 5
+    assert [op_kind(o, 3) for o in core(SOURCE)[1]].count("second") == 4
+    # replaying core's listed ops reaches the core: beads bottom first, each from the top down
+    core_pair, listed, _ = core(SOURCE)
+    current = SOURCE
+    for o in sorted(listed, key=lambda o: -o.index):
+        current = apply_op(current, o)
+    assert current == core_pair
