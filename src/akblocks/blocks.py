@@ -16,7 +16,7 @@ from itertools import accumulate, chain, islice, product
 from operator import add, getitem, gt, sub
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
-from .moves import _core_pair, _listing, _sub_levels, _vector
+from .moves import OperationSet, _core_pair, _sub_levels, _vector
 from .partitions import (
     _multipartition_counts,
     check_integers,
@@ -30,10 +30,11 @@ DEFAULT_ENUMERATION_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would exceed its configured budget."""
+    """Raised when an enumeration or an operation set would exceed its
+    configured budget."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(f"estimated {estimate} candidates exceeds budget {budget}")
+    def __init__(self, estimate: int, budget: int, what: str = "estimated {} candidates"):
+        super().__init__(f"{what.format(estimate)} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -280,11 +281,12 @@ def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
         max_len = max_part = sum(mv)
     else:
         max_len, max_part = top, r - top
-    # the position and the one-move tally of every level a lift can touch
+    # the position and the one-move tally of every level a lift can touch;
+    # one path through the span leaves each of its levels, top first
     span = range(top - max_len, top + max_part)
-    steps = [(c, 0, t, t - 1) for t in span]
-    where = {t: (place[op.row - 1], op.col) for t, op in zip(span, _listing(steps, e, r))}
-    unit = {t: _vector([step], r) for t, step in zip(span, steps)}
+    through = OperationSet([(c, 0, span.stop - 1, span.start - 1)], e, r)
+    where = {t: (place[op.row - 1], op.col) for t, op in zip(reversed(span), through)}
+    unit = {t: _vector([(c, 0, t, t - 1)], r) for t in span}
     changes: dict = {}
     groups: dict = {}
     stack = [((), (0,) * r, {})]  # (pi, tally, {level: +1 filled / -1 emptied})

@@ -208,9 +208,18 @@ def _budget() -> int:
         raise JobError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
 
 
+def _check_op_budget(ops) -> None:
+    """Refuse an operation set longer than the budget before any op is
+    built: its length is known from the bead paths alone."""
+    budget = _budget()
+    if len(ops) > budget:
+        raise blocks.BudgetExceeded(len(ops), budget, "operation set of {} moves")
+
+
 def _cmd_core(job, args):
     a = _pair_from_job(job)
     core_pair, ops, mv = moves.core(a)
+    _check_op_budget(ops)
     return {"core": _pair_json(core_pair), "operation_set": _ops_json(ops), "moving_vector": list(mv)}
 
 
@@ -218,6 +227,7 @@ def _cmd_mv(job, args):
     a = _pair_from_job(job)
     b = _pair_from_job(job, mp_key="target_multipartition", charge_key="target_multicharge")
     ops, mv = moves.operation_set_between(a, b)
+    _check_op_budget(ops)
     return {"moving_vector": list(mv), "operation_set": _ops_json(ops)}
 
 
@@ -250,7 +260,7 @@ def _cmd_enumerate(job, args):
     if args.n < 0:
         raise JobError(f"--n must be a non-negative integer, got {args.n}")
     e = _decode_e(job.get("e"))
-    charge = tuple(job.get("multicharge", ()))
+    charge = partitions.check_integers(job.get("multicharge", ()), "multicharge")
     if not charge:
         raise JobError("missing field 'multicharge'")
     blocks._check_budget(args.n, len(charge), _budget())
@@ -258,10 +268,12 @@ def _cmd_enumerate(job, args):
     for mp in partitions.multipartitions_of(args.n, len(charge)):
         bid = blocks.block_id(AbacusPair(mp, charge, e))
         grouped.setdefault(bid, []).append(mp)
+    # moving vectors are taken over the normalized multicharge, as classify does
+    charge_norm, sigma = blocks.normalize_multicharge(charge, e)
     table = []
     for bid in sorted(grouped, key=lambda b: b.content):
         members = sorted(grouped[bid])
-        mv, _ = classify.block_moving_vector(AbacusPair(members[0], charge, e))
+        mv, _ = classify.block_moving_vector(AbacusPair(partitions.permute(members[0], sigma), charge_norm, e))
         table.append(
             {
                 "content": _content_json(bid.content_dict()),

@@ -22,17 +22,22 @@ the beads above the first one already in place move.  The core's rows
 are built from the tops directly: row ``row`` holds column k*e + c iff
 k < (top + row - 1) // r.  A bead's path is a run of levels, and the
 move at level t lies in row r - (t mod r), so the moving vector follows
-from the levels alone.  :func:`core` costs O(number of moves) on top,
-because the move list is its output; :func:`core_and_vector` does not
-pay that.  Each move is an :class:`ElementaryOp`, a named tuple built at
-the cost of a plain tuple, so it also compares equal to its
-``(row, col, index)`` tuple.  Pairs built here from validated pairs
-skip re-validation.
+from the levels alone.  An operation set is an :class:`OperationSet`,
+a read-only sequence over those paths, not a tuple of moves: its length
+is known from the paths, and each move is built only when it is read.
+So :func:`core` costs what :func:`core_and_vector` costs, and iterating
+the operation set costs O(number of moves).  Each move is an
+:class:`ElementaryOp`, a named tuple built at the cost of a plain tuple,
+so it also compares equal to its ``(row, col, index)`` tuple.  Pairs
+built here from validated pairs skip re-validation.
 """
 
 from __future__ import annotations
 
-from operator import add
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, chain, count, cycle, islice, repeat
+from operator import add, eq, index
 from typing import NamedTuple
 
 from .abacus import AbacusPair, row_from_beads
@@ -60,6 +65,88 @@ class ElementaryOp(NamedTuple):
 
 def op_kind(op: ElementaryOp, r: int) -> str:
     return "second" if op.row == r else "first"
+
+
+class OperationSet(Sequence):
+    """The moves along bead paths (c, idx, t_from, t_to), each bead's from
+    its top level down, as a read-only sequence of :class:`ElementaryOp`.
+
+    Only the paths are kept: the length is their sum of t_from - t_to,
+    and the ops are built as they are read.  The move at level t of
+    subabacus c leaves row r - (t mod r), column (t // r)*e + c (column
+    c with infinite e, where every level is below r).  It equals, and
+    hashes as, the tuple of its ops; slices are tuples.
+    """
+
+    __slots__ = ("_paths", "_ends", "_e", "_r")
+
+    def __init__(self, paths, e, r: int):
+        paths = tuple(paths)
+        ends = tuple(accumulate(t_from - t_to for _, _, t_from, t_to in paths))
+        for name, value in zip(self.__slots__, (paths, ends, e, r)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("OperationSet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return OperationSet, (self._paths, self._e, self._r)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        # per path, rows cycle over 1..r from the top level's row and the
+        # column steps down by e every r levels; zip, islice and map build
+        # each op without a Python-level step
+        r, rows = self._r, range(1, self._r + 1)
+        step = self._e if is_finite(self._e) else 0
+        ops_of, new = repeat(ElementaryOp), tuple.__new__
+
+        def along(path):
+            c, idx, t_from, t_to = path
+            k, u = divmod(t_from, r)
+            skip = r - 1 - u  # levels of the top column's cycle above t_from
+            cols = chain.from_iterable(map(repeat, count(k * step + c, -step), repeat(r)))
+            return map(
+                new,
+                ops_of,
+                zip(islice(cycle(rows), skip, skip + t_from - t_to), islice(cols, skip, None), repeat(idx)),
+            )
+
+        return chain.from_iterable(map(along, self._paths))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        n = len(self)
+        i = index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("operation set index out of range")
+        j = bisect_right(self._ends, i)
+        c, idx, t_from, _ = self._paths[j]
+        t = t_from - i + (self._ends[j - 1] if j else 0)
+        r = self._r
+        step = self._e if is_finite(self._e) else 0
+        return tuple.__new__(ElementaryOp, (r - t % r, t // r * step + c, idx))
+
+    def __eq__(self, other):
+        if isinstance(other, OperationSet):
+            if (self._paths, self._e, self._r) == (other._paths, other._e, other._r):
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<OperationSet: {len(self)} moves along {len(self._paths)} bead paths>"
 
 
 def _sub_levels(a: AbacusPair, cols=None) -> dict:
@@ -136,22 +223,6 @@ def _vector(paths, r: int) -> tuple:
     return tuple(m + cycles for m in mv)
 
 
-def _listing(paths, e, r: int) -> tuple:
-    """The moves along the paths, each bead's from the top level down.
-
-    The move at level t of subabacus c leaves the position of that
-    level: level k*r + (r - row) is column k*e + c.  Each op is built
-    with ``tuple.__new__``, skipping the named tuple's argument parsing.
-    """
-    step = e if is_finite(e) else 0  # with infinite e every level is below r
-    new = tuple.__new__
-    return tuple(
-        new(ElementaryOp, (r - t % r, t // r * step + c, idx))
-        for c, idx, t_from, t_to in paths
-        for t in range(t_from, t_to, -1)
-    )
-
-
 def _paths_between(a: AbacusPair, b: AbacusPair):
     if a.e != b.e or a.r != b.r:
         raise ValueError("abaci must share quantum characteristic and rank")
@@ -173,10 +244,12 @@ def operation_set_between(a: AbacusPair, b: AbacusPair):
 
     Raises if ``b`` is not reachable from ``a`` by elementary moves.
     Only multiset equality of the returned operation set is contractual;
-    the listing is sorted by (subabacus, bead index, move order).
+    it is an :class:`OperationSet` over the bead paths, read in the order
+    (subabacus, bead index, move order), and its moves are built as they
+    are read.
     """
-    paths = list(_paths_between(a, b))
-    return _listing(paths, a.e, a.r), _vector(paths, a.r)
+    ops = OperationSet(_paths_between(a, b), a.e, a.r)
+    return ops, _vector(ops._paths, a.r)
 
 
 def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
@@ -241,13 +314,14 @@ def core(a: AbacusPair):
 
     The core is the unique complete abacus reachable by elementary
     moves: per subabacus, the beads fill the maximal down-set of the
-    t-order with the same bead count.  The cost grows with the number of
-    moves, since they are listed; :func:`core_and_vector` skips that.
-    Each move is one small tuple, an :class:`ElementaryOp` equal to its
-    ``(row, col, index)`` tuple.
+    t-order with the same bead count.  The operation set is an
+    :class:`OperationSet` over the bead paths, so the call costs what
+    :func:`core_and_vector` costs and its length is known at once;
+    reading it builds one :class:`ElementaryOp`, equal to its
+    ``(row, col, index)`` tuple, per move.
     """
     core_pair, paths = _core_paths(a)
-    return core_pair, _listing(paths, a.e, a.r), _vector(paths, a.r)
+    return core_pair, OperationSet(paths, a.e, a.r), _vector(paths, a.r)
 
 
 def core_and_vector(a: AbacusPair):

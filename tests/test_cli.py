@@ -4,7 +4,9 @@ import time
 import jsonschema
 import pytest
 
+from akblocks.abacus import AbacusPair
 from akblocks.cli import SCHEMAS, main
+from akblocks.moves import core_and_vector
 
 PAIR41 = {
     "e": 3,
@@ -224,3 +226,58 @@ def test_output_byte_stability(capsys):
 def test_tsv_mode(capsys):
     code, out, err = run(capsys, "defect", json.dumps(PAIR41), "--tsv")
     assert code == 0 and out.strip() == "defect\t12"
+
+
+BIG_SPREAD = {"e": 3, "multicharge": [0, 10**4], "multipartition": [[3, 1], [2]]}
+
+
+def test_core_and_mv_refuse_op_sets_over_budget(capsys, monkeypatch):
+    """The size guard reads the op count off the bead paths: 16,661,667
+    moves at spread 10^4 are refused at once, before any op is built."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "core", json.dumps(BIG_SPREAD))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "budget",
+        "detail": "operation set of 16661667 moves exceeds budget 10000000",
+    }
+    core_pair, _ = core_and_vector(AbacusPair(((3, 1), (2,)), (0, 10**4), 3))
+    job = dict(BIG_SPREAD, target_multicharge=list(core_pair.charge))
+    job["target_multipartition"] = [list(c) for c in core_pair.mp]
+    code, out, err = run(capsys, "mv", json.dumps(job))
+    assert code == 3 and out == ""
+    assert "16661667 moves" in json.loads(err)["detail"]
+
+
+def test_op_budget_is_inclusive(capsys, monkeypatch):
+    """The README pair's core is 13 moves away: a budget of 13 prints
+    them, 12 refuses them."""
+    monkeypatch.setenv("ABACUS_BUDGET", "13")
+    code, out, _ = run(capsys, "core", json.dumps(PAIR41))
+    assert code == 0 and out == CORE_GOLDEN + "\n"
+    monkeypatch.setenv("ABACUS_BUDGET", "12")
+    code, out, err = run(capsys, "core", json.dumps(PAIR41))
+    assert code == 3 and out == ""
+    assert json.loads(err)["detail"] == "operation set of 13 moves exceeds budget 12"
+
+
+@pytest.mark.parametrize("n", ["0", "1000"])
+def test_enumerate_validates_multicharge_before_budget(capsys, monkeypatch, n):
+    """A malformed multicharge is a parse error whatever --n is."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    code, out, err = run(capsys, "enumerate", "--n", n, json.dumps({"e": 2, "multicharge": ["x", 0.5]}))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse", "detail": "multicharge entries must be integers, got 'x'"}
+
+
+def test_enumerate_takes_moving_vectors_over_normalized_multicharge(capsys):
+    """A raw multicharge outside the fundamental region is tabled, each
+    block with the moving vector classify reports for its members."""
+    doc = run_json(capsys, "enumerate", "--n", "2", json.dumps({"e": 2, "multicharge": [1, 0, 0]}))
+    assert sorted(b["size"] for b in doc["blocks"]) == [1, 8]
+    for block in doc["blocks"]:
+        for mp in block["members"]:
+            job = {"e": 2, "multicharge": [1, 0, 0], "multipartition": mp}
+            assert run_json(capsys, "classify", json.dumps(job))["moving_vector"] == block["moving_vector"]

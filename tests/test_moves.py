@@ -1,4 +1,6 @@
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from akblocks.abacus import AbacusPair, is_complete, uglov
 from akblocks.moves import (
     ElementaryOp,
+    OperationSet,
     _core_paths,
     _paths_between,
     apply_op,
@@ -603,13 +606,14 @@ def test_construct_from_vector_lifts_one_bead():
 )
 def test_listing_matches_level_oracle(rows, e):
     """Raw, unsorted charges of spread <= 40: the operation sets of
-    ``core`` and ``operation_set_between`` are tuples of ElementaryOps
-    equal, element by element, to the per-level listing of their paths."""
+    ``core`` and ``operation_set_between`` are OperationSets of
+    ElementaryOps equal, element by element, to the per-level listing of
+    their paths."""
     a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
     core_pair, ops, _ = core(a)
     between, _ = operation_set_between(a, core_pair)
     for listed, paths in ((ops, _core_paths(a)[1]), (between, list(_paths_between(a, core_pair)))):
-        assert type(listed) is tuple
+        assert type(listed) is OperationSet
         assert all(type(op) is ElementaryOp for op in listed)
         expected = listing_by_levels(paths, e, a.r)
         assert [(op.row, op.col, op.index) for op in listed] == [(o.row, o.col, o.index) for o in expected]
@@ -636,3 +640,64 @@ def test_elementary_op_contract():
     for o in sorted(listed, key=lambda o: -o.index):
         current = apply_op(current, o)
     assert current == core_pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 9), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-20, 20),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from((2, 3, 5, INFINITY)),
+)
+def test_operation_set_contract(rows, e):
+    """An OperationSet reads as the tuple of its ops: length, iteration,
+    indexing (negative too), slices, equality and hashing, read-only."""
+    a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
+    paths = _core_paths(a)[1]
+    ops = OperationSet(paths, e, a.r)
+    listed = tuple(ops)
+    expected = listing_by_levels(paths, e, a.r)
+    assert len(ops) == len(listed) == sum(t_from - t_to for _, _, t_from, t_to in paths)
+    assert [tuple(op) for op in listed] == [(o.row, o.col, o.index) for o in expected]
+    n = len(ops)
+    for i in range(-n, n):
+        assert ops[i] == listed[i] and type(ops[i]) is ElementaryOp
+    assert all(type(op) is ElementaryOp for op in listed)
+    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(2, 7, 3), slice(5, 2)):
+        assert type(ops[sl]) is tuple and ops[sl] == listed[sl]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ops[i]
+    assert ops == listed and listed == ops and hash(ops) == hash(listed)
+    assert ops == OperationSet(list(paths), e, a.r) and ops == core(a)[1]
+    assert ops != list(listed) and list(listed) != ops
+    assert ops != listed + ((0, 0, 0),) and (n == 0 or ops != listed[:-1])
+    assert "ElementaryOp" not in repr(ops) and len(repr(ops)) < 80
+    assert pickle.loads(pickle.dumps(ops)) == ops
+    with pytest.raises(AttributeError):
+        ops._paths = ()
+    with pytest.raises(AttributeError):
+        ops.extra = 1
+    with pytest.raises(AttributeError):
+        del ops._r
+
+
+def test_operation_set_memory_grows_with_paths_not_moves():
+    """At charge spread 10^4 the core is 16,661,667 moves away; the
+    operation set keeps its 9,997 bead paths, not the moves."""
+    a = AbacusPair(((3, 1), (2,)), (0, 10**4), 3)
+    tracemalloc.start()
+    try:
+        core_pair, ops, mv = core(a)
+        assert len(ops) == sum(mv) == 16_661_667
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    last = listing_by_levels(_core_paths(a)[1][-1:], 3, 2)[-1]
+    assert ops[0] == next(iter(ops)) and ops[-1] == (last.row, last.col, last.index)
