@@ -8,6 +8,17 @@ including one extra slot, all agree; such a block is a truncated
 polynomial ring.  Infinite type is certified, where possible, by a pair
 of same-block abaci that become dominance-incomparable after a
 component permutation.
+
+Such pairs are first built by four pattern constructions on one seed
+abacus.  Each construction starts from a bead over a hole: a column
+where a row carries a bead and a later row has none (the next row, with
+row r + 1 read as row 1 shifted by e, or any later row for
+``construct_four_rows_one_column``).  In a complete abacus, such as the
+block's core, each row's beads lie in the next row's, so it has no bead
+over a hole, and neither has its dual.  The seeds are therefore the
+member and then, only if it yields nothing, its dual.  Each seed is read
+once into a scratch model that memoizes its row-pair column lists; the
+constructions copy the model before they move beads.
 """
 
 from __future__ import annotations
@@ -107,6 +118,11 @@ def permutation_for_incomparability(a: AbacusPair, b: AbacusPair, witness) -> tu
     k1, i1, k2, i2 = witness
     if not is_incomparable_witness(a, b, k1, i1, k2, i2):
         raise ValueError("not a valid incomparability witness for these abaci")
+    return _incomparability_sigma(a, b, k1, k2)
+
+
+def _incomparability_sigma(a: AbacusPair, b: AbacusPair, k1: int, k2: int) -> tuple:
+    """The slot permutation for a witness already checked on rows k1 and k2."""
     middle = [i for i in range(1, a.r + 1) if i not in (k1, k2)]
     sigma = tuple([k1] + middle + [k2])
     pa = permute(a.mp, sigma)
@@ -128,7 +144,11 @@ class IncomparabilityWitness:
 
 
 class _BeadRows:
-    """Mutable bead-set scratch model for the witness constructions."""
+    """Mutable bead-set scratch model for the witness constructions.
+
+    ``cols`` memoizes the sorted column lists of each row pair; a copy
+    starts with an empty memo and a move clears it.
+    """
 
     def __init__(self, pair: AbacusPair):
         self.e, self.r = pair.e, pair.r
@@ -140,6 +160,7 @@ class _BeadRows:
             i: set(range(self.lo, floor)) | extras
             for i, (floor, extras) in enumerate(pair._beadsets, start=1)
         }
+        self.cols = {}
 
     def wrap(self, row: int, col: int):
         while row > self.r:
@@ -167,6 +188,7 @@ class _BeadRows:
         new = object.__new__(_BeadRows)
         new.e, new.r, new.lo, new.hi = self.e, self.r, self.lo, self.hi
         new.rows = {i: set(cols) for i, cols in self.rows.items()}
+        new.cols = {}
         return new
 
     def move(self, src, dst):
@@ -179,6 +201,7 @@ class _BeadRows:
             raise ValueError(f"target {(dr, dc)} occupied")
         self.rows[sr].discard(sc)
         self.rows[dr].add(dc)
+        self.cols.clear()
         return self
 
     def pair(self) -> AbacusPair:
@@ -195,13 +218,25 @@ def _in_scan(model: _BeadRows, cols) -> list:
     return sorted(h for h in cols if model.lo < h < model.hi)
 
 
+def _row_pair_cols(model: _BeadRows, low_row: int, high_row: int) -> tuple:
+    """(bead-over-hole, hole-under-bead) scan columns of a row pair,
+    sorted and memoized on the model; callers must not mutate them."""
+    key = (low_row, high_row)
+    cols = model.cols.get(key)
+    if cols is None:
+        low, high = model.beaded(low_row), model.beaded(high_row)
+        cols = model.cols[key] = (_in_scan(model, low - high), _in_scan(model, high - low))
+    return cols
+
+
 def _cols_bead_over_empty(model: _BeadRows, low_row: int, high_row: int):
     """Columns with a bead in low_row and a hole at the (wrapped) high_row."""
-    return _in_scan(model, model.beaded(low_row) - model.beaded(high_row))
+    return _row_pair_cols(model, low_row, high_row)[0]
 
 
 def _cols_empty_under_bead(model: _BeadRows, low_row: int, high_row: int):
-    return _in_scan(model, model.beaded(high_row) - model.beaded(low_row))
+    """Columns with a hole in low_row and a bead at the (wrapped) high_row."""
+    return _row_pair_cols(model, low_row, high_row)[1]
 
 
 def _build_two_runners(model: _BeadRows, j: int, h1: int, h2: int):
@@ -217,10 +252,9 @@ def _build_two_runners(model: _BeadRows, j: int, h1: int, h2: int):
     return mu.pair(), nu.pair(), (j, l4) + bar.wrap(j + 1, l1)
 
 
-def construct_two_runners_two_columns(a: AbacusPair):
+def construct_two_runners_two_columns(model: _BeadRows):
     """Witness from two columns carrying a bead over a hole in one row pair."""
-    model = _BeadRows(a)
-    top = a.r + (1 if is_finite(a.e) else 0)
+    top = model.r + (1 if is_finite(model.e) else 0)
     for j in range(1, top):
         up = _cols_bead_over_empty(model, j, j + 1)
         if len(up) >= 2:
@@ -230,15 +264,14 @@ def construct_two_runners_two_columns(a: AbacusPair):
     return None
 
 
-def construct_four_runners(a: AbacusPair):
+def construct_four_runners(model: _BeadRows):
     """Witness from bead-over-hole columns in two separated row pairs."""
-    if a.r < 4:
+    if model.r < 4:
         return None
-    model = _BeadRows(a)
-    top = a.r + (1 if is_finite(a.e) else 0)
+    top = model.r + (1 if is_finite(model.e) else 0)
     for i in range(1, top):
         for j in range(i + 2, top):
-            if j == a.r and i == 1:
+            if j == model.r and i == 1:
                 continue
             ups_i = _cols_bead_over_empty(model, i, i + 1)
             ups_j = _cols_bead_over_empty(model, j, j + 1)
@@ -257,13 +290,12 @@ def construct_four_runners(a: AbacusPair):
     return None
 
 
-def construct_three_runners(a: AbacusPair):
+def construct_three_runners(model: _BeadRows):
     """Witness from the three-adjacent-rows patterns."""
-    if a.r < 3:
+    if model.r < 3:
         return None
-    model = _BeadRows(a)
-    top = a.r + (2 if is_finite(a.e) else 0)
-    for i in range(1, min(a.r, top - 2) + 1):
+    top = model.r + (2 if is_finite(model.e) else 0)
+    for i in range(1, min(model.r, top - 2) + 1):
         ups1 = _cols_bead_over_empty(model, i, i + 1)[:4]
         downs1 = _cols_empty_under_bead(model, i, i + 1)[:4]
         ups2 = _cols_bead_over_empty(model, i + 1, i + 2)[:4]
@@ -313,15 +345,14 @@ def _wrap_args(model: _BeadRows, j: int, h1: int, h2: int):
     return jj, hh1, hh2
 
 
-def construct_four_rows_one_column(a: AbacusPair):
+def construct_four_rows_one_column(model: _BeadRows):
     """Witness from one column with beads under holes on four rows."""
-    if a.r < 4:
+    if model.r < 4:
         return None
-    model = _BeadRows(a)
     for h in _scan_cols(model):
         # scan columns lie above lo, so a row carries a bead there iff its set holds it
-        rows_b = [i for i in range(1, a.r + 1) if h in model.rows[i]]
-        rows_e = [i for i in range(1, a.r + 1) if h not in model.rows[i]]
+        rows_b = [i for i in range(1, model.r + 1) if h in model.rows[i]]
+        rows_e = [i for i in range(1, model.r + 1) if h not in model.rows[i]]
         quad = None
         for i1, i2 in combinations(rows_b, 2):
             above = [x for x in rows_e if x > i2]
@@ -363,8 +394,7 @@ def _witness_from(a: AbacusPair, b: AbacusPair, coords, target: BlockId):
         return None
     if not is_incomparable_witness(a, b, k1, i1, k2, i2):
         return None
-    sigma = permutation_for_incomparability(a, b, coords)
-    return IncomparabilityWitness(a.mp, b.mp, a.charge, coords, sigma)
+    return IncomparabilityWitness(a.mp, b.mp, a.charge, coords, _incomparability_sigma(a, b, k1, k2))
 
 
 def _inverse_permutation(sigma) -> tuple:
@@ -399,20 +429,24 @@ def _witness_by_construction(member: AbacusPair, b: BlockId):
         if w is None:
             return None
         return _transport_witness(w, sigma, b.charge, charge_norm, b.e, b)
-    core_pair, _ = core_and_vector(member)
-    return _constructed_witness(member, core_pair, b)
+    return _constructed_witness(member, b)
 
 
-def _constructed_witness(member: AbacusPair, core_pair: AbacusPair, b: BlockId):
-    """Run the pattern constructions on the core, the member and their
-    duals; the member lies in ``b`` over a normalized multicharge and
-    ``core_pair`` is its core."""
-    seeds = [core_pair, member, dual(core_pair), dual(member)]
-    for idx, seed in enumerate(seeds):
-        dualized = idx >= 2
+def _constructed_witness(member: AbacusPair, b: BlockId):
+    """Run the pattern constructions on the member, then on its dual; the
+    member lies in ``b`` over a normalized multicharge.
+
+    Every construction needs a bead over a hole, which a complete abacus
+    (the core, or its dual) never has, so neither is tried.  The dual is
+    built only when the member yields nothing, and each seed is read into
+    one scratch model that all four constructions share.
+    """
+    for dualized in (False, True):
+        seed = dual(member) if dualized else member
+        model = _BeadRows(seed)
         for build in _CONSTRUCTIONS:
             try:
-                built = build(seed)
+                built = build(model)
             except ValueError:
                 built = None
             if not built:
@@ -453,12 +487,13 @@ def find_incomparable_pair(
 ):
     """Search the block for an incomparable pair of abaci.
 
-    Pattern constructions run first, on the block's core, a member
-    (a known one may be passed in to avoid enumeration), and their
-    duals; an exhaustive pairwise scan of the enumerated members (capped
-    at ``pair_budget`` comparisons) is the fallback.  Returns None when
-    both strategies exhaust; for blocks whose member set is totally
-    ordered no witness exists at all.
+    Pattern constructions run first, on a member (a known one may be
+    passed in to avoid enumeration) and then on its dual.  They need a
+    bead over a hole, which a complete abacus never has, so the block's
+    core is not a seed.  An exhaustive pairwise scan of the enumerated
+    members (capped at ``pair_budget`` comparisons) is the fallback.
+    Returns None when both strategies exhaust; for blocks whose member
+    set is totally ordered no witness exists at all.
     """
     members = None
     if member is None:
@@ -531,7 +566,7 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
     """
     charge_norm, sigma = normalize_multicharge(p.charge, p.e)
     q = AbacusPair._of(permute(p.mp, sigma), charge_norm, p.e)
-    mv, core_pair = block_moving_vector(q)
+    mv, _ = block_moving_vector(q)
     w = sum(mv)
     report = dict(
         weight=w,
@@ -568,11 +603,10 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
                 )
     witness = None
     if r >= 2 and witness_budget > 0:
-        # find_incomparable_pair's search, without re-checking q or
-        # recomputing its block and core
+        # find_incomparable_pair's search on q, without re-checking it
         bid = block_id(q)
         try:
-            witness = _constructed_witness(q, core_pair, bid) or _witness_by_scan(
+            witness = _constructed_witness(q, bid) or _witness_by_scan(
                 enumerate_block_members(bid), charge_norm, bid, witness_budget
             )
         except BudgetExceeded:

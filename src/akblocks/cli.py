@@ -394,8 +394,16 @@ def _emit_tsv(result: dict) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a JobError, so they end like any other parse
+    error: one JSON diagnostic on stderr and exit 2, with no usage text."""
+
+    def error(self, message):
+        raise JobError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="akblocks",
         description="Abacus calculus and representation type for blocks of Ariki-Koike algebras.",
     )
@@ -446,8 +454,8 @@ def _split_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
     try:
+        args = build_parser().parse_intermixed_args(argv)
         job = _split_args(args)
         result = COMMANDS[args.command](job, args)
     except blocks.BudgetExceeded as exc:

@@ -13,14 +13,18 @@ content is tallied node by node.  The subabacus moving
 vector is counted from the moves that ``core`` lists one by one; it
 shares the bead paths with the library and checks the per-subabacus sum.
 The operation set is listed from the same bead paths one level at a
-time with ``divmod``, as records of a frozen dataclass.
+time with ``divmod``, as records of a frozen dataclass.  The witness
+search is checked against its earlier form, which ran the pattern
+constructions on four seeds: the core, the member and both their duals,
+each read into its own fresh scratch model for every construction.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from akblocks.abacus import AbacusPair
+from akblocks.abacus import AbacusPair, dual
+from akblocks.classify import _CONSTRUCTIONS, _BeadRows, _dual_coords, _witness_from
 from akblocks.moves import ElementaryOp, apply_op, core
 from akblocks.blocks import BlockId, CartanData, weight_multiplicities
 from akblocks.partitions import (
@@ -337,3 +341,25 @@ def is_incomparable_witness_by_scan(a, b, k1, i1, k2, i2):
     bead_a = i1 in a.row_betas(k1) or i1 < a.row_floor(k1)
     bead_b = i2 in b.row_betas(k2) or i2 < b.row_floor(k2)
     return bool(d1 and d2) and d1[-1] == i1 and bead_a and d2[0] == i2 and bead_b
+
+
+def constructed_witness_four_seeds(member, core_pair, b):
+    """The first witness the constructions build on the core, the member,
+    the core's dual and the member's dual, in that order, with a fresh
+    scratch model per construction; the member lies in ``b`` over a
+    normalized multicharge and ``core_pair`` is its core."""
+    for idx, seed in enumerate([core_pair, member, dual(core_pair), dual(member)]):
+        for build in _CONSTRUCTIONS:
+            try:
+                built = build(_BeadRows(seed))
+            except ValueError:
+                built = None
+            if not built:
+                continue
+            mu, nu, coords = built
+            if idx >= 2:
+                mu, nu, coords = dual(mu), dual(nu), _dual_coords(seed.r, coords)
+            witness = _witness_from(mu, nu, coords, b)
+            if witness:
+                return witness
+    return None

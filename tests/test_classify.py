@@ -1,15 +1,23 @@
+import importlib.util
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akblocks import moves
-from akblocks.abacus import AbacusPair, dual
+from akblocks.abacus import AbacusPair, dual, is_complete
 from akblocks.blocks import block_id, defect, enumerate_block_members
 from akblocks.classify import (
+    _CONSTRUCTIONS,
+    DEFAULT_PAIR_BUDGET,
     _BeadRows,
     _cols_bead_over_empty,
     _cols_empty_under_bead,
+    _transport_witness,
+    _witness_by_scan,
     block_moving_vector,
     derived_equivalent_weight1,
     find_incomparable_pair,
@@ -20,6 +28,7 @@ from akblocks.classify import (
     schur_repr_type,
     subabacus_moving_vector,
 )
+from akblocks.moves import core_and_vector
 from akblocks.partitions import (
     INFINITY,
     DominanceRel,
@@ -30,6 +39,7 @@ from akblocks.partitions import (
 )
 from oracles import (
     cols_by_scan,
+    constructed_witness_four_seeds,
     incomparable_abaci_by_scan,
     is_incomparable_witness_by_scan,
     row_diffs_by_scan,
@@ -372,3 +382,139 @@ def test_construction_columns_match_column_scan():
                     assert _cols_empty_under_bead(model, low, high) == cols_by_scan(
                         model, low, high, False, True
                     )
+
+
+def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep):
+    """Every sweep block, seeded with its first member in sorted order (the
+    order enumerate_block_members lists and the scan reads): repr_type and
+    find_incomparable_pair, with and without the member, return the witness
+    of the four-seed constructions or else of the member scan."""
+    blocks = witnessed = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        e, r, charge = key
+        for bid, entries in grouped.items():
+            members = sorted(mp for mp, *_ in entries)
+            seed = AbacusPair(members[0], charge, e)
+            core_pair = entries[0][1]
+            expected = constructed_witness_four_seeds(seed, core_pair, bid) or _witness_by_scan(
+                members, charge, bid, DEFAULT_PAIR_BUDGET
+            )
+            rep = repr_type(seed)
+            assert rep.sigma == tuple(range(1, r + 1))
+            assert rep.witness == (expected if rep.verdict == "infinite" else None)
+            assert find_incomparable_pair(bid, member=seed.mp) == expected
+            assert find_incomparable_pair(bid) == expected
+            blocks += 1
+            witnessed += expected is not None
+    assert blocks == 2577 and witnessed == 1259
+
+
+def large_inputs(seed):
+    """The job list of one pass of the benchmark's ``large`` workload."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.Large().inputs(seed)
+
+
+def test_witness_search_matches_four_seed_oracle_on_large_inputs():
+    """The large workload's seed-1 pairs (n from 100 to 1000, some raw
+    multicharges): repr_type and find_incomparable_pair with the member
+    return the four-seed constructions' witness, carried back to the raw
+    multicharge where there is one."""
+    inputs = large_inputs(1)
+    infinite = 0
+    for e, charge, mp, _ in inputs:
+        p = AbacusPair(mp, charge, e)
+        rep = repr_type(p)
+        if rep.verdict != "infinite":
+            assert rep.witness is None
+            continue
+        infinite += 1
+        q = AbacusPair(permute(mp, rep.sigma), rep.normalized_charge, e)
+        bid = block_id(q)
+        expected = constructed_witness_four_seeds(q, core_and_vector(q)[0], bid)
+        assert expected is not None
+        assert rep.witness == expected
+        assert find_incomparable_pair(bid, member=q.mp) == expected
+        if q != p:
+            raw = block_id(p)
+            carried = _transport_witness(expected, rep.sigma, charge, rep.normalized_charge, e, raw)
+            assert find_incomparable_pair(raw, member=mp) == carried is not None
+    assert len(inputs) == 256 and infinite > 200
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, INFINITY)),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 4), max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))),
+            st.integers(-6, 9),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_constructions_never_fire_on_a_core_or_its_dual(e, rows):
+    """A core is complete, so no row carries a bead over a hole of the next
+    row; neither does its dual, and no construction builds anything."""
+    mp, charge = tuple(p for p, _ in rows), tuple(s for _, s in rows)
+    core_pair, _ = core_and_vector(AbacusPair(mp, charge, e))
+    for seed in (core_pair, dual(core_pair)):
+        assert is_complete(seed)
+        model = _BeadRows(seed)
+        for build in _CONSTRUCTIONS:
+            assert build(model) is None
+
+
+def test_construction_memo_matches_fresh_model_and_column_scan():
+    """All four constructions share one model: they leave its rows as a
+    fresh model's, and every memoized column list is the column scan's.
+    A copy starts with no memo, and a move clears it."""
+    rng = random.Random(12)
+    memoized = 0
+    for e in (2, 3, 5, INFINITY):
+        for _ in range(40):
+            r = rng.randrange(2, 7)
+            mp = tuple(
+                tuple(sorted(rng.choices(range(1, 6), k=rng.randrange(0, 5)), reverse=True))
+                for _ in range(r)
+            )
+            pair = AbacusPair(mp, tuple(rng.randrange(-3, 6) for _ in range(r)), e)
+            model = _BeadRows(pair)
+            for build in _CONSTRUCTIONS:
+                try:
+                    build(model)
+                except ValueError:
+                    pass
+            fresh = _BeadRows(pair)
+            assert model.rows == fresh.rows
+            assert model.cols
+            for (low, high), (up, down) in model.cols.items():
+                assert up == cols_by_scan(fresh, low, high, True, False)
+                assert down == cols_by_scan(fresh, low, high, False, True)
+                memoized += 1
+            assert model.copy().cols == {}
+            up = _cols_bead_over_empty(model, 1, 2)
+            if up:
+                moved = model.copy().move((1, up[0]), (2, up[0]))
+                assert _cols_bead_over_empty(moved, 1, 2) == up[1:]
+                moved.move((2, up[0]), (1, up[0]))
+                assert moved.cols == {}
+                assert _cols_bead_over_empty(moved, 1, 2) == up
+    assert memoized > 500
+
+
+def test_find_incomparable_pair_from_member_computes_no_core(monkeypatch):
+    """The constructions seed on the member and its dual, so a search that
+    a construction settles never computes the block's core."""
+    core_paths = moves._core_paths
+    calls = []
+    monkeypatch.setattr(moves, "_core_paths", lambda a: calls.append(a) or core_paths(a))
+    for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (3,)), (0, 1, 1), 2)):
+        assert find_incomparable_pair(block_id(p), member=p.mp) is not None
+    assert calls == []

@@ -281,3 +281,33 @@ def test_enumerate_takes_moving_vectors_over_normalized_multicharge(capsys):
         for mp in block["members"]:
             job = {"e": 2, "multicharge": [1, 0, 0], "multipartition": mp}
             assert run_json(capsys, "classify", json.dumps(job))["moving_vector"] == block["moving_vector"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (
+            ["enumerate", "--n", "x", json.dumps({"e": 2, "multicharge": [0, 1]})],
+            "argument --n: invalid int value: 'x'",
+        ),
+        (["bogus", json.dumps(PAIR41)], "argument command: invalid choice: 'bogus'"),
+        (["render", json.dumps(PAIR41), "--window", "1"], "argument --window: expected 2 arguments"),
+    ],
+    ids=["n", "command", "window"],
+)
+def test_usage_errors_are_json_diagnostics(capsys, argv, detail):
+    """A command line argparse rejects ends like any other parse error: main
+    returns 2 and stderr holds exactly one JSON line, with no usage text."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "usage" not in err
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "parse" and diagnostic["detail"].startswith(detail)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: akblocks") and out.err == ""

@@ -1,11 +1,15 @@
-"""Fuzzed CLI contract for ``core``, ``mv`` and ``enumerate``.
+"""Fuzzed CLI contract for ``core``, ``mv``, ``enumerate``, ``classify``,
+``schur-classify`` and ``witness``.
 
 Every job, valid or not, ends in exit 0 with a schema-valid document on
 stdout, or in exit 2 or 3 with nothing on stdout; stderr carries only
 JSON lines, never a traceback, and each job finishes under a wall-time
 deadline.  Jobs are drawn valid, near-valid (out-of-range or unordered
 values, missing fields, unreachable targets), wrong-typed and
-huge-valued: charge spreads up to 10^6 and ``--n`` up to 10^9.
+huge-valued: charge spreads up to 10^6 and ``--n`` up to 10^9.  Command
+lines are also drawn broken (a non-integer ``--n``, an unknown command
+or option, a short ``--window``, a missing or extra positional), which
+must end in exit 2 with one JSON diagnostic like any other parse error.
 
 Spreads of 10^6 are drawn with finite e only.  With infinite e the level
 reader scans every column of the display, so one such job takes seconds
@@ -51,11 +55,33 @@ def pair_fields(draw, e, r, huge):
     return charge, mp
 
 
+COMMANDS = ["core", "mv", "enumerate", "classify", "schur-classify", "witness"]
+
+
+def broken_command_line(draw, argv):
+    """A well-formed argv broken at the command-line level: argparse
+    rejects all but a missing or extra positional, which the job reader
+    rejects."""
+    fault = draw(st.sampled_from(["n", "command", "option", "window", "missing", "extra"]))
+    if fault == "n":
+        return [argv[0], argv[1], "--n", draw(st.sampled_from(["x", "1.5", "", "1e3"]))]
+    if fault == "command":
+        return [draw(st.sampled_from(["bogus", "Core", "", "--", "classify-all"])), argv[1]]
+    if fault == "option":
+        return argv + [draw(st.sampled_from(["--frobnicate", "-x", "--n"]))]
+    if fault == "window":
+        return argv + ["--window", draw(st.sampled_from(["1", "a"]))]
+    if fault == "missing":
+        return draw(st.sampled_from([[], [argv[0]]]))
+    return argv + [argv[1]]
+
+
 @st.composite
 def jobs(draw):
-    """(argv, ABACUS_BUDGET) for one job of a drawn flavour."""
-    command = draw(st.sampled_from(["core", "mv", "enumerate"]))
-    flavour = draw(st.sampled_from(["valid", "huge", "near", "wrong"]))
+    """(argv, ABACUS_BUDGET, whether argv is a broken command line) for one
+    job of a drawn flavour."""
+    command = draw(st.sampled_from(COMMANDS))
+    flavour = draw(st.sampled_from(["valid", "huge", "near", "wrong", "argv"]))
     e, r = draw(VALID_E), draw(st.integers(1, 3))
     charge, mp = draw(pair_fields(e, r, flavour == "huge"))
     job = {"e": e, "multicharge": charge, "multipartition": mp}
@@ -98,7 +124,9 @@ def jobs(draw):
     argv = [command, json.dumps(job) if text is None else text]
     if command == "enumerate" or draw(st.booleans()):
         argv += ["--n", str(n)]
-    return argv, draw(st.sampled_from(["0", "12", "1000", "100000", "lots"]))
+    if flavour == "argv":
+        argv = broken_command_line(draw, argv)
+    return argv, draw(st.sampled_from(["0", "12", "1000", "100000", "lots"])), flavour == "argv"
 
 
 def run_in_process(argv, budget):
@@ -118,17 +146,21 @@ def run_in_process(argv, budget):
 SPREAD_1E6 = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[3, 1], [2]]}
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
-@example((["core", json.dumps(SPREAD_1E6)], "100000"))
-@example((["enumerate", json.dumps(SPREAD_1E6), "--n", str(10**9)], "100000"))
+@example((["core", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["enumerate", json.dumps(SPREAD_1E6), "--n", str(10**9)], "100000", False))
+@example((["classify", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["witness", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["enumerate", "--n", "x", json.dumps(SPREAD_1E6)], "100000", True))
+@example((["bogus", json.dumps(SPREAD_1E6)], "100000", True))
 def test_cli_contract(case):
-    argv, budget = case
+    argv, budget, rejected = case
     start = time.perf_counter()
     code, out, err = run_in_process(argv, budget)
     assert time.perf_counter() - start < DEADLINE_S, argv
-    assert code in (0, 2, 3)
-    event(f"{argv[0]} exit {code}")
+    assert code in ((2,) if rejected else (0, 2, 3))
+    event(f"{argv[0] if argv else '(none)'} exit {code}")
     assert "Traceback" not in err and "Traceback" not in out
     diagnostics = [json.loads(line) for line in err.splitlines()]
     if code == 0:
