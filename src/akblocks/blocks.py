@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, product
+from itertools import chain, islice, product
 from operator import add, getitem, gt, sub
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
-from .moves import OperationSet, _core_pair, _sub_levels, _vector
+from .moves import OperationSet, _core_counts, _core_pair, _vector_from_charges
 from .partitions import (
     _multipartition_counts,
     check_integers,
@@ -246,24 +246,10 @@ def _core_tops(charge: tuple, content: dict, e):
     if content and not is_finite(e):
         lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
     tops = {
-        f: t_base + len(levels) + content.get(f, 0) - content.get(residue(f + 1, e), 0)
-        for f, (t_base, levels) in _sub_levels(empty, range(lo, hi)).items()
+        f: top + content.get(f, 0) - content.get(residue(f + 1, e), 0)
+        for f, top in _core_counts(empty, range(lo, hi))[0].items()
     }
     return tops, lo
-
-
-def _vector_from_charges(charge: tuple, core_charge: tuple, w: int, e):
-    """The moving vector m with m_x - m_(x-1) = s_x - s*_x (cyclically)
-    and sum w, where m_r = 0 for infinite e; None if no such vector is
-    a non-negative integer one.  Moves keep the bead count, so the
-    differences s_x - s*_x sum to 0 and m_r = m_0."""
-    r = len(charge)
-    steps = list(accumulate(s - t for s, t in zip(charge, core_charge)))
-    last, rest = divmod(w - sum(steps), r) if is_finite(e) else (0, 0)
-    mv = tuple(last + x for x in steps)
-    if rest or min(mv) < 0 or sum(mv) != w:
-        return None
-    return mv
 
 
 def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
@@ -282,11 +268,12 @@ def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
     else:
         max_len, max_part = top, r - top
     # the position and the one-move tally of every level a lift can touch;
-    # one path through the span leaves each of its levels, top first
+    # one path through the span leaves each of its levels, top first, and
+    # the move at level t lies in row r - (t mod r)
     span = range(top - max_len, top + max_part)
     through = OperationSet([(c, 0, span.stop - 1, span.start - 1)], e, r)
     where = {t: (place[op.row - 1], op.col) for t, op in zip(reversed(span), through)}
-    unit = {t: _vector([(c, 0, t, t - 1)], r) for t in span}
+    unit = {t: tuple(int(x == r - 1 - t % r) for x in range(r)) for t in span}
     changes: dict = {}
     groups: dict = {}
     stack = [((), (0,) * r, {})]  # (pi, tally, {level: +1 filled / -1 emptied})

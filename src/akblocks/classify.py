@@ -36,7 +36,7 @@ from .blocks import (
     enumerate_block_members,
     normalize_multicharge,
 )
-from .moves import _core_paths, core_and_vector
+from .moves import _core_counts, core_and_vector
 from .partitions import (
     DominanceRel,
     check_integers,
@@ -631,15 +631,14 @@ def subabacus_moving_vector(
     Sums, over every member, the number of operations whose source
     column lies in each residue class mod e (each column is its own
     class when e is infinite).  Zero entries are omitted.  Moves never
-    leave a subabacus, so each bead path adds its length t_from - t_to
-    to its own subabacus's class and no move is listed.
+    leave a subabacus, so each member adds the per-subabacus move counts
+    of its core, and no move or bead path is listed.
     """
     charge = check_integers(b.charge, "multicharge")
     counts: dict = {}
     for mp in enumerate_block_members(b, budget=enumeration_budget):
-        _, paths = _core_paths(AbacusPair._of(mp, charge, b.e))
-        for c, _, t_from, t_to in paths:
-            counts[c] = counts.get(c, 0) + t_from - t_to
+        for c, moves in _core_counts(AbacusPair._of(mp, charge, b.e))[1].items():
+            counts[c] = counts.get(c, 0) + moves
     return {k: v for k, v in sorted(counts.items()) if v}
 
 

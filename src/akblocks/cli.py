@@ -208,18 +208,18 @@ def _budget() -> int:
         raise JobError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
 
 
-def _check_op_budget(ops) -> None:
-    """Refuse an operation set longer than the budget before any op is
-    built: its length is known from the bead paths alone."""
+def _check_op_budget(moves_count: int) -> None:
+    """Refuse an operation set of more moves than the budget allows."""
     budget = _budget()
-    if len(ops) > budget:
-        raise blocks.BudgetExceeded(len(ops), budget, "operation set of {} moves")
+    if moves_count > budget:
+        raise blocks.BudgetExceeded(moves_count, budget, "operation set of {} moves")
 
 
 def _cmd_core(job, args):
     a = _pair_from_job(job)
+    # the vector's sum is the op count, known before any bead path is listed
+    _check_op_budget(sum(moves.core_and_vector(a)[1]))
     core_pair, ops, mv = moves.core(a)
-    _check_op_budget(ops)
     return {"core": _pair_json(core_pair), "operation_set": _ops_json(ops), "moving_vector": list(mv)}
 
 
@@ -227,7 +227,7 @@ def _cmd_mv(job, args):
     a = _pair_from_job(job)
     b = _pair_from_job(job, mp_key="target_multipartition", charge_key="target_multicharge")
     ops, mv = moves.operation_set_between(a, b)
-    _check_op_budget(ops)
+    _check_op_budget(len(ops))
     return {"moving_vector": list(mv), "operation_set": _ops_json(ops)}
 
 

@@ -16,20 +16,27 @@ on this linearization.
 Each subabacus's levels are read off each row's floor and beta-numbers
 once.  With finite e they start at the highest level below which every
 row is beaded, so no column window is scanned, and a row's run of floor
-beads is added as one range.  The core fills, per subabacus, the levels below its top
-(that base plus the bead count), so bead ``idx`` goes to top - idx; only
-the beads above the first one already in place move.  The core's rows
-are built from the tops directly: row ``row`` holds column k*e + c iff
-k < (top + row - 1) // r.  A bead's path is a run of levels, and the
-move at level t lies in row r - (t mod r), so the moving vector follows
-from the levels alone.  An operation set is an :class:`OperationSet`,
-a read-only sequence over those paths, not a tuple of moves: its length
-is known from the paths, and each move is built only when it is read.
-So :func:`core` costs what :func:`core_and_vector` costs, and iterating
-the operation set costs O(number of moves).  Each move is an
-:class:`ElementaryOp`, a named tuple built at the cost of a plain tuple,
-so it also compares equal to its ``(row, col, index)`` tuple.  Pairs
-built here from validated pairs skip re-validation.
+beads is an arithmetic progression of levels with step r.  The core
+fills, per subabacus, the levels below its top (that base plus the bead
+count), so bead ``idx`` goes to top - idx; only the beads above the
+first one already in place move.  The core's rows are built from the
+tops directly: row ``row`` holds column k*e + c iff k < (top + row -
+1) // r.  Moves keep the bead count of every row, so the moving vector
+is fixed by the charges and the number of moves: m_x - m_(x-1) =
+s_x - s*_x.
+
+:func:`core_and_vector` takes each subabacus's bead count and level
+sum in closed form, which give its top and its number of moves, so it
+lists no level and no path and costs O(parts + r*e) with finite e,
+whatever the charge spread.  :func:`core` lists the bead paths from the
+sorted levels, so it costs O(parts + paths).  Its operation set is an
+:class:`OperationSet`, a read-only sequence over those paths, not a
+tuple of moves: its length is known from the paths, and each move is
+built only when it is read, so iterating it costs O(number of moves).
+Each move is an :class:`ElementaryOp`, a named tuple built at the cost
+of a plain tuple, so it also compares equal to its ``(row, col,
+index)`` tuple.  Pairs built here from validated pairs skip
+re-validation.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, chain, count, cycle, islice, repeat
-from operator import add, eq, index
+from operator import add, eq, index, sub
 from typing import NamedTuple
 
 from .abacus import AbacusPair, row_from_beads
@@ -208,19 +215,17 @@ def _bead_paths(levels: dict, targets: dict):
                 yield c, idx, t_from, t_to
 
 
-def _vector(paths, r: int) -> tuple:
-    """Per-row tally of the moves along the paths, without listing them:
-    a path makes (t_from - t_to) // r full cycles over the rows plus a run
-    of fewer than r levels, the move at level t lying in row r - (t mod r).
-    """
-    mv = [0] * r
-    cycles = 0
-    for _, _, t_from, t_to in paths:
-        q, rest = divmod(t_from - t_to, r)
-        cycles += q
-        for t in range(t_to + 1, t_to + 1 + rest):
-            mv[r - 1 - t % r] += 1
-    return tuple(m + cycles for m in mv)
+def _vector_from_charges(charge: tuple, core_charge: tuple, w: int, e):
+    """The moving vector m with m_x - m_(x-1) = s_x - s*_x (cyclically)
+    and sum w, where m_r = 0 for infinite e; None if no such vector is
+    a non-negative integer one.  Moves keep the bead count, so the
+    differences s_x - s*_x sum to 0 and m_r = m_0."""
+    steps = list(accumulate(map(sub, charge, core_charge)))
+    last, rest = divmod(w - sum(steps), len(charge)) if is_finite(e) else (0, 0)
+    mv = tuple([x + last for x in steps])
+    if rest or min(mv) < 0 or sum(mv) != w:
+        return None
+    return mv
 
 
 def _paths_between(a: AbacusPair, b: AbacusPair):
@@ -249,12 +254,14 @@ def operation_set_between(a: AbacusPair, b: AbacusPair):
     are read.
     """
     ops = OperationSet(_paths_between(a, b), a.e, a.r)
-    return ops, _vector(ops._paths, a.r)
+    return ops, _vector_from_charges(a.charge, b.charge, len(ops), a.e)
 
 
 def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
-    """Per-row tally of the operation set from a to b, without listing it."""
-    return _vector(_paths_between(a, b), a.r)
+    """Per-row tally of the operation set from a to b, without listing it:
+    the charges fix it once the number of moves is known."""
+    w = sum(t_from - t_to for _, _, t_from, t_to in _paths_between(a, b))
+    return _vector_from_charges(a.charge, b.charge, w, a.e)
 
 
 def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
@@ -309,25 +316,94 @@ def _core_paths(a: AbacusPair):
     return _core_pair(tops, lo, a.e, a.r), paths
 
 
+def _core_counts(a: AbacusPair, cols=None):
+    """({c: top}, {c: moves}) per subabacus, in ascending c: the core
+    fills the levels below ``top``, and its beads are ``moves``
+    elementary moves away.
+
+    No level is sorted and no path listed; per subabacus only the bead
+    count n above a base t_base (every level below it beaded) and the sum
+    of those beads' levels are taken.  Then top = t_base + n, and as bead
+    ``idx`` from the top goes to top - idx, the moves are the level sum
+    less n*top - n(n+1)/2.  With finite e, t_base is as in
+    :func:`_sub_levels`, and the floor run of a row whose run in class c
+    ends at level ``end`` holds the levels end - j*r, j = 1, ...,
+    (end - t_base) // r, from t_base on: an arithmetic progression,
+    counted and summed in closed form.  Each extra bead adds its own
+    level, so the cost is O(parts + r*e) whatever the charge spread.
+    With infinite e each column of ``cols`` (a range, the pair's bounds
+    by default) is a subabacus of the levels 0, ..., r - 1 with t_base 0;
+    column c holds level u iff c is below that row's floor or one of its
+    extras, so one difference array per count and per sum, marked once
+    per floor run and per extra, gives every column's.
+    """
+    e, r = a.e, a.r
+    rows = a._beadsets
+    if is_finite(e):
+        keys, bases, counts, sums = range(e), [], [0] * e, [0] * e
+        runs = [(floor, r - row) for row, (floor, _) in enumerate(rows, 1)]
+        for c in keys:
+            ends = [-((c - floor) // e) * r + u for floor, u in runs]
+            t_base = min(ends)
+            bases.append(t_base)
+            for end in ends:
+                j = (end - t_base) // r
+                counts[c] += j
+                sums[c] += j * end - r * j * (j + 1) // 2
+        for row, (_, extras) in enumerate(rows, 1):
+            for col in extras:
+                k, c = divmod(col, e)
+                counts[c] += 1
+                sums[c] += k * r + r - row
+    else:
+        keys = range(*a.bounds()) if cols is None else cols
+        lo = keys.start
+        dn, ds = [0] * (len(keys) + 1), [0] * (len(keys) + 1)
+        dn[0], ds[0] = r, r * (r - 1) // 2  # every floor run starts at lo
+        for row, (floor, extras) in enumerate(rows, 1):
+            u = r - row
+            dn[floor - lo] -= 1
+            ds[floor - lo] -= u
+            for x in extras:
+                x -= lo
+                dn[x] += 1
+                dn[x + 1] -= 1
+                ds[x] += u
+                ds[x + 1] -= u
+        bases, counts, sums = repeat(0), accumulate(dn), accumulate(ds)
+    tops, moves = {}, {}
+    for c, t_base, n, s in zip(keys, bases, counts, sums):
+        top = tops[c] = t_base + n
+        moves[c] = s - n * top + n * (n + 1) // 2
+    return tops, moves
+
+
 def core(a: AbacusPair):
     """(core pair, operation set, moving vector).
 
     The core is the unique complete abacus reachable by elementary
     moves: per subabacus, the beads fill the maximal down-set of the
     t-order with the same bead count.  The operation set is an
-    :class:`OperationSet` over the bead paths, so the call costs what
-    :func:`core_and_vector` costs and its length is known at once;
-    reading it builds one :class:`ElementaryOp`, equal to its
-    ``(row, col, index)`` tuple, per move.
+    :class:`OperationSet` over the bead paths, which are listed from
+    each subabacus's sorted levels, so the call costs O(parts + paths)
+    and the set's length is known at once; reading it builds one
+    :class:`ElementaryOp`, equal to its ``(row, col, index)`` tuple,
+    per move.  The vector follows from the charges and that length.
     """
     core_pair, paths = _core_paths(a)
-    return core_pair, OperationSet(paths, a.e, a.r), _vector(paths, a.r)
+    ops = OperationSet(paths, a.e, a.r)
+    return core_pair, ops, _vector_from_charges(a.charge, core_pair.charge, len(ops), a.e)
 
 
 def core_and_vector(a: AbacusPair):
-    """(core pair, moving vector) as in :func:`core`, without listing moves."""
-    core_pair, paths = _core_paths(a)
-    return core_pair, _vector(paths, a.r)
+    """(core pair, moving vector) as in :func:`core`, from per-subabacus
+    bead counts and level sums: no level is sorted and no path listed,
+    so it costs O(parts + r*e) with finite e whatever the charge spread.
+    """
+    tops, moves = _core_counts(a)
+    lo = a.bounds()[0] if not is_finite(a.e) else None
+    core_pair = _core_pair(tops, lo, a.e, a.r)
+    return core_pair, _vector_from_charges(a.charge, core_pair.charge, sum(moves.values()), a.e)
 
 
 def apply_op(a: AbacusPair, op: ElementaryOp) -> AbacusPair:

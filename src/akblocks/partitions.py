@@ -4,16 +4,17 @@ Ground types for the whole library.  Partitions are plain tuples of
 weakly decreasing positive integers (trailing zeros never stored),
 multipartitions are tuples of partitions, multicharges are tuples of
 integers.  The quantum characteristic ``e`` is either an integer >= 2
-or ``INFINITY``; modular arithmetic (bar the inline node loop of
-:func:`residue_content`) goes through :func:`residue` for uniformity.
+or ``INFINITY``; modular arithmetic (bar the run ends folded with
+``divmod`` in :func:`residue_content`) goes through :func:`residue` for
+uniformity.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import count, islice
-from operator import mul
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
@@ -77,10 +78,15 @@ def size(m: Multipartition) -> int:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: result[j] = #{i : p[i] >= j+1}."""
+    """Transpose of the Young diagram: result[j] = #{i : p[i] >= j+1}.
+
+    The columns p[i] + 1, ..., p[i-1] (1-based, p[len] = 0) all have
+    length i, so the result is one run per part: O(len(p) + p[0]).
+    """
     if not p:
         return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    n = len(p)
+    return tuple(chain.from_iterable(repeat(i, p[i - 1] - (p[i] if i < n else 0)) for i in range(n, 0, -1)))
 
 
 def conjugate_multi(m: Multipartition) -> Multipartition:
@@ -154,28 +160,46 @@ def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
 def residue_content(m: Multipartition, charge: Multicharge, e) -> dict:
     """Counts of nodes by residue: node (i, j, k) contributes j - i + s_k mod e.
 
-    Row i of component k holds the content run s_k + 1 - i, ...,
-    s_k + part_i - i: with finite e, part_i // e full cycles of residues
-    and a short run.  Zero counts are never stored, so equal dicts mean
-    equal contents.
+    Row i of component k holds the content run [s_k + 1 - i, b), where
+    b = part_i - i + s_k + 1 is one past its beta-number, so a content x
+    is counted once for each run end above it less once for each run
+    start above it.  With finite e each start or end y = q*e + u counts
+    q for every residue plus one for the residues below u, so the counts
+    are one total of the q's plus a suffix sum over the e residues:
+    O(parts + e).  With infinite e each component's contents fill the
+    range s_k + 1 - len, ..., s_k + part_1 - 1, its support, and a prefix
+    sum of the run starts and ends over that range gives the counts:
+    O(parts + first parts), whatever the charge spread.  Zero counts are
+    never stored, so equal dicts mean equal contents.
     """
     check_quantum_char(e)
     if len(m) != len(charge):
         raise ValueError("multipartition and multicharge rank mismatch")
-    finite = is_finite(e)
     counts: dict = {}
-    cycles = 0
-    for comp, start in zip(m, charge):
-        for part in comp:  # row i's run starts at s_k + 1 - i
-            if finite and part >= e:
-                q, part = divmod(part, e)
-                cycles += q
-            for x in range(start, start + part):
-                f = x % e if finite else x
-                counts[f] = counts.get(f, 0) + 1
-            start -= 1
-    for f in range(e if cycles else 0):
-        counts[f] = counts.get(f, 0) + cycles
+    if is_finite(e):
+        cycles, above = 0, [0] * e
+        for comp, s in zip(m, charge):
+            for i, part in enumerate(comp):  # row i + 1's run [s - i, s - i + part)
+                q, u = divmod(s - i, e)
+                q_end, u_end = divmod(s - i + part, e)
+                cycles += q_end - q
+                above[u_end] += 1
+                above[u] -= 1
+        for f in range(e - 1, -1, -1):
+            if cycles:
+                counts[f] = cycles
+            cycles += above[f]
+        return counts
+    for comp, s in zip(m, charge):
+        if comp:
+            # over the support from s + 1 - k, row i's run starts at k - i
+            # and ends at k - i + part_i
+            k = len(comp)
+            runs = [1] * k + [0] * comp[0]
+            for end in map(add, comp, range(k - 1, -1, -1)):
+                runs[end] -= 1
+            for x, n in zip(range(s + 1 - k, s + comp[0]), accumulate(runs)):
+                counts[x] = counts.get(x, 0) + n
     return counts
 
 

@@ -9,11 +9,14 @@ all r-multipartitions of n on residue content, and the row differences
 behind incomparability and the witness constructions' bead-over-hole
 columns by scanning columns one at a time, as are the nesting test of
 complete abaci and the subabacus bead-count differences.  The residue
-content is tallied node by node.  The subabacus moving
+content is tallied node by node, and the conjugate partition counts the
+parts of each length from its definition.  The subabacus moving
 vector is counted from the moves that ``core`` lists one by one; it
 shares the bead paths with the library and checks the per-subabacus sum.
 The operation set is listed from the same bead paths one level at a
-time with ``divmod``, as records of a frozen dataclass.  The witness
+time with ``divmod``, as records of a frozen dataclass, and the moving
+vector is tallied from those paths row by row rather than from the
+charges.  The witness
 search is checked against its earlier form, which ran the pattern
 constructions on four seeds: the core, the member and both their duals,
 each read into its own fresh scratch model for every construction.
@@ -58,6 +61,19 @@ def listing_by_levels(paths, e, r):
             k, u = divmod(t, r)
             ops.append(LevelOp(r - u, k * step + c, idx))
     return ops
+
+
+def row_tally_of_paths(paths, r):
+    """Per-row tally of the moves along bead paths, without listing them:
+    a path makes (t_from - t_to) // r full cycles over the rows plus a run
+    of fewer than r levels, the move at level t lying in row r - (t mod r)."""
+    mv = [0] * r
+    for _, _, t_from, t_to in paths:
+        q, rest = divmod(t_from - t_to, r)
+        mv = [m + q for m in mv]
+        for t in range(t_to + 1, t_to + 1 + rest):
+            mv[r - 1 - t % r] += 1
+    return tuple(mv)
 
 
 def t_key(pair, row, col):
@@ -218,6 +234,13 @@ def tally_residues(mp, charge, e):
                     f %= e
                 counts[f] = counts.get(f, 0) + 1
     return counts
+
+
+def conjugate_by_definition(p):
+    """Column j + 1 of the diagram has one node per part of length > j."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
 
 
 def defect_pairwise(b):

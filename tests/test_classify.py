@@ -202,18 +202,21 @@ def test_repr_type_infinite_attaches_witness_when_it_exists():
 def test_repr_type_witness_search_reuses_its_core(monkeypatch):
     """repr_type finds the witness find_incomparable_pair finds over the
     normalized pair, by construction (LAM332) or by the member scan (the
-    second pair), and computes the pair's core once."""
+    second pair), and computes the pair's core once, from bead counts:
+    no bead path is listed."""
     for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (2,)), (0, 0, 1), 2)):
         rep = repr_type(p)
         q = AbacusPair(permute(p.mp, rep.sigma), rep.normalized_charge, p.e)
         assert rep.witness is not None
         assert rep.witness == find_incomparable_pair(block_id(q), member=q.mp)
-        cores = []
-        core_paths = moves._core_paths
-        monkeypatch.setattr(moves, "_core_paths", lambda a: cores.append(a) or core_paths(a))
+        cores, paths = [], []
+        core_counts, core_paths = moves._core_counts, moves._core_paths
+        monkeypatch.setattr(moves, "_core_counts", lambda a, *cols: cores.append(a) or core_counts(a, *cols))
+        monkeypatch.setattr(moves, "_core_paths", lambda a: paths.append(a) or core_paths(a))
         assert repr_type(p) == rep
         monkeypatch.undo()
         assert cores == [q]
+        assert paths == []
 
 
 def test_repr_type_small_rank_weight_rule():

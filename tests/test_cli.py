@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -261,6 +262,28 @@ def test_op_budget_is_inclusive(capsys, monkeypatch):
     code, out, err = run(capsys, "core", json.dumps(PAIR41))
     assert code == 3 and out == ""
     assert json.loads(err)["detail"] == "operation set of 13 moves exceeds budget 12"
+
+
+def test_core_refuses_over_budget_before_listing_paths(capsys, monkeypatch):
+    """At spread 10^6 and e = 2 the core is 249,999,500,010 moves away
+    along about 500,000 bead paths; the op count comes from bead counts,
+    so the job is refused before any path or level is listed."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    job = json.dumps({"e": 2, "multicharge": [0, 10**6], "multipartition": [[5, 3], [2]]})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "core", job)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "budget",
+        "detail": "operation set of 249999500010 moves exceeds budget 10000000",
+    }
+    assert elapsed < 0.5 and peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("n", ["0", "1000"])

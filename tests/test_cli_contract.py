@@ -1,5 +1,6 @@
 """Fuzzed CLI contract for ``core``, ``mv``, ``enumerate``, ``classify``,
-``schur-classify`` and ``witness``.
+``schur-classify``, ``witness``, ``block-id``, ``defect``, ``dual``,
+``uglov``, ``sigma`` and ``rotate``.
 
 Every job, valid or not, ends in exit 0 with a schema-valid document on
 stdout, or in exit 2 or 3 with nothing on stdout; stderr carries only
@@ -15,7 +16,10 @@ Spreads of 10^6 are drawn with finite e only.  With infinite e the level
 reader scans every column of the display, so one such job takes seconds
 (``enumerate`` pays it once per block); those spreads stay at 10^4.
 ``ABACUS_BUDGET`` is drawn as well, up to 10^5: the default cap of 10^7
-moves or candidates admits jobs that run for minutes.
+moves or candidates admits jobs that run for minutes.  ``uglov`` prints
+its one-runner image, whose partition has about as many parts as the
+spread, so its jobs are the slowest finite-e ones (about 1.5 s at 10^6).
+``sigma`` and ``rotate`` take a drawn integer before the job JSON.
 """
 
 import contextlib
@@ -55,7 +59,21 @@ def pair_fields(draw, e, r, huge):
     return charge, mp
 
 
-COMMANDS = ["core", "mv", "enumerate", "classify", "schur-classify", "witness"]
+COMMANDS = [
+    "core",
+    "mv",
+    "enumerate",
+    "classify",
+    "schur-classify",
+    "witness",
+    "block-id",
+    "defect",
+    "dual",
+    "uglov",
+    "sigma",
+    "rotate",
+]
+PARAM = st.sampled_from(["0", "1", "2", "-1", "4", str(10**9), "x"])
 
 
 def broken_command_line(draw, argv):
@@ -122,6 +140,8 @@ def jobs(draw):
         else:
             text = draw(st.sampled_from(["[1, 2]", "17", '"job"', "{not json", ""]))
     argv = [command, json.dumps(job) if text is None else text]
+    if command in ("sigma", "rotate"):
+        argv.insert(1, draw(PARAM))
     if command == "enumerate" or draw(st.booleans()):
         argv += ["--n", str(n)]
     if flavour == "argv":
@@ -146,7 +166,7 @@ def run_in_process(argv, budget):
 SPREAD_1E6 = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[3, 1], [2]]}
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 @example((["core", json.dumps(SPREAD_1E6)], "100000", False))
 @example((["enumerate", json.dumps(SPREAD_1E6), "--n", str(10**9)], "100000", False))
@@ -154,6 +174,9 @@ SPREAD_1E6 = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[3, 1], [2]]
 @example((["witness", json.dumps(SPREAD_1E6)], "100000", False))
 @example((["enumerate", "--n", "x", json.dumps(SPREAD_1E6)], "100000", True))
 @example((["bogus", json.dumps(SPREAD_1E6)], "100000", True))
+@example((["block-id", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["uglov", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["sigma", "1", json.dumps(SPREAD_1E6)], "100000", False))
 def test_cli_contract(case):
     argv, budget, rejected = case
     start = time.perf_counter()

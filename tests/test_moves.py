@@ -24,7 +24,7 @@ from akblocks.moves import (
     rotate_rows,
 )
 from akblocks.partitions import INFINITY, in_Abar, size
-from oracles import applicable_ops, greedy_core, greedy_ops_to, listing_by_levels, t_key
+from oracles import applicable_ops, greedy_core, greedy_ops_to, listing_by_levels, row_tally_of_paths, t_key
 
 SOURCE = AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3)
 TARGET = AbacusPair(((), (4, 3, 1), (3, 2)), (0, 1, 2), 3)
@@ -468,16 +468,41 @@ def row_tally(ops, r):
 
 
 def test_core_and_vector_matches_listed_core():
+    """Bead counts against the listed paths: the core, the op count, and
+    the vector tallied from the moves (from the paths row by row at spread
+    10^4, where the core is millions of moves away)."""
     rng = random.Random(89)
     for e in (2, 3, 5, INFINITY):
-        for spread in (0, 6, 20, 40):
-            for _ in range(12):
-                r = rng.randrange(1, 6)
+        for spread in (0, 6, 20, 40, 10**4):
+            for _ in range(12 if spread < 10**4 else 3):
+                r = rng.randrange(1 if spread < 10**4 else 2, 6)
                 a = raw_pair(rng, e, r, spread)
                 cp, ops, mv = core(a)
                 assert core_and_vector(a) == (cp, mv)
-                assert mv == row_tally(ops, r)
+                assert sum(mv) == len(ops)
+                if spread < 10**4:
+                    assert mv == row_tally(ops, r)
+                else:
+                    assert mv == row_tally_of_paths(_core_paths(a)[1], r)
                 assert moving_vector_between(a, cp) == mv
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_core_and_vector_cost_is_free_of_the_charge_spread(e):
+    """At charge (0, 10^6) the levels are never listed: a small, fixed
+    peak.  At spread 10^4, where core still lists its bead paths, the
+    vector's sum is the op count."""
+    a = AbacusPair(((3, 1), (2,)), (0, 10**6), e)
+    tracemalloc.start()
+    try:
+        cp, mv = core_and_vector(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert is_complete(cp) and sum(mv) > 10**10
+    b = AbacusPair(((3, 1), (2,)), (0, 10**4), e)
+    assert sum(core_and_vector(b)[1]) == len(core(b)[1])
 
 
 def test_core_and_vector_matches_greedy_simulation():

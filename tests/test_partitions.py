@@ -1,7 +1,8 @@
+import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from akblocks.partitions import (
@@ -20,7 +21,7 @@ from akblocks.partitions import (
     permute_charge,
     residue_content,
 )
-from oracles import dominance_from_scratch, tally_residues
+from oracles import conjugate_by_definition, dominance_from_scratch, tally_residues
 
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -36,6 +37,16 @@ def test_conjugate_examples():
 @given(partitions_st)
 def test_conjugate_involution(p):
     assert conjugate(conjugate(p)) == p
+
+
+@given(st.lists(st.integers(1, 40), max_size=40).map(lambda xs: tuple(sorted(xs, reverse=True))))
+@example(())
+@example((17,))
+@example((1,) * 17)
+@example(tuple(range(12, 0, -1)))
+def test_conjugate_matches_definition(p):
+    """Empty, one-row, one-column and staircase shapes included."""
+    assert conjugate(p) == conjugate_by_definition(p)
 
 
 def test_conjugate_involution_exhaustive_small():
@@ -164,6 +175,24 @@ def test_residue_content_matches_node_tally(rows, e):
     # up to 4 * 8 * 31 = 992 nodes, charges mostly negative
     mp, charge = tuple(p for p, _ in rows), tuple(s for _, s in rows)
     assert residue_content(mp, charge, e) == tally_residues(mp, charge, e)
+
+
+def test_residue_content_from_run_ends_matches_node_tally():
+    """Negative and unsorted charges, parts several times longer than e,
+    and infinite e, whose runs overlap and leave gaps in the support."""
+    rng = random.Random(61)
+    for e in (2, 3, 5, 7, INFINITY):
+        for _ in range(40):
+            r = rng.randrange(1, 6)
+            charge = tuple(rng.randint(-50, 50) for _ in range(r))
+            longest = 4 * e if e != INFINITY else 30
+            mp = tuple(
+                tuple(sorted((rng.randint(1, longest) for _ in range(rng.randrange(0, 7))), reverse=True))
+                for _ in range(r)
+            )
+            assert residue_content(mp, charge, e) == tally_residues(mp, charge, e)
+    assert residue_content(((3,), (3,)), (0, 10), INFINITY) == {x: 1 for x in (0, 1, 2, 10, 11, 12)}
+    assert residue_content(((6, 6),), (-4,), 3) == {0: 4, 1: 4, 2: 4}
 
 
 def test_residue_content_total_and_permutation_invariance():
