@@ -156,6 +156,16 @@ class OperationSet(Sequence):
         return f"<OperationSet: {len(self)} moves along {len(self._paths)} bead paths>"
 
 
+def _floor_runs(rows, r: int, e: int):
+    """(c, t_base, ends) per residue class c, for finite e: row ``row``'s
+    floor run in class c holds the levels below ``ends[row - 1]`` in
+    steps of r, and every level below t_base = min(ends) is beaded."""
+    runs = [(floor, r - row) for row, (floor, _) in enumerate(rows, 1)]
+    for c in range(e):
+        ends = [-((c - floor) // e) * r + u for floor, u in runs]
+        yield c, min(ends), ends
+
+
 def _sub_levels(a: AbacusPair, cols=None) -> dict:
     """Per-subabacus bead levels, read off each row's floor and beta-numbers.
 
@@ -172,10 +182,7 @@ def _sub_levels(a: AbacusPair, cols=None) -> dict:
     rows = a._beadsets
     out = {}
     if is_finite(e):
-        floors = [(floor, r - row) for row, (floor, _) in enumerate(rows, 1)]
-        for c in range(e):
-            ends = [-((c - floor) // e) * r + u for floor, u in floors]
-            t_base = min(ends)
+        for c, t_base, ends in _floor_runs(rows, r, e):
             levels = []
             for end in ends:
                 levels.extend(range(end - r, t_base - 1, -r))
@@ -325,9 +332,9 @@ def _core_counts(a: AbacusPair, cols=None):
     count n above a base t_base (every level below it beaded) and the sum
     of those beads' levels are taken.  Then top = t_base + n, and as bead
     ``idx`` from the top goes to top - idx, the moves are the level sum
-    less n*top - n(n+1)/2.  With finite e, t_base is as in
-    :func:`_sub_levels`, and the floor run of a row whose run in class c
-    ends at level ``end`` holds the levels end - j*r, j = 1, ...,
+    less n*top - n(n+1)/2.  With finite e, t_base and the run ends come
+    from :func:`_floor_runs`, and the floor run of a row whose run in
+    class c ends at level ``end`` holds the levels end - j*r, j = 1, ...,
     (end - t_base) // r, from t_base on: an arithmetic progression,
     counted and summed in closed form.  Each extra bead adds its own
     level, so the cost is O(parts + r*e) whatever the charge spread.
@@ -341,10 +348,7 @@ def _core_counts(a: AbacusPair, cols=None):
     rows = a._beadsets
     if is_finite(e):
         keys, bases, counts, sums = range(e), [], [0] * e, [0] * e
-        runs = [(floor, r - row) for row, (floor, _) in enumerate(rows, 1)]
-        for c in keys:
-            ends = [-((c - floor) // e) * r + u for floor, u in runs]
-            t_base = min(ends)
+        for c, t_base, ends in _floor_runs(rows, r, e):
             bases.append(t_base)
             for end in ends:
                 j = (end - t_base) // r

@@ -515,8 +515,9 @@ def test_construction_memo_matches_fresh_model_and_column_scan():
 def test_find_incomparable_pair_from_member_computes_no_core(monkeypatch):
     """The constructions seed on the member and its dual, so a search that
     a construction settles never computes the block's core."""
-    core_paths = moves._core_paths
+    core_counts, core_paths = moves._core_counts, moves._core_paths
     calls = []
+    monkeypatch.setattr(moves, "_core_counts", lambda a, *cols: calls.append(a) or core_counts(a, *cols))
     monkeypatch.setattr(moves, "_core_paths", lambda a: calls.append(a) or core_paths(a))
     for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (3,)), (0, 1, 1), 2)):
         assert find_incomparable_pair(block_id(p), member=p.mp) is not None

@@ -490,8 +490,7 @@ def test_core_and_vector_matches_listed_core():
 @pytest.mark.parametrize("e", [2, 3])
 def test_core_and_vector_cost_is_free_of_the_charge_spread(e):
     """At charge (0, 10^6) the levels are never listed: a small, fixed
-    peak.  At spread 10^4, where core still lists its bead paths, the
-    vector's sum is the op count."""
+    peak."""
     a = AbacusPair(((3, 1), (2,)), (0, 10**6), e)
     tracemalloc.start()
     try:
@@ -501,8 +500,6 @@ def test_core_and_vector_cost_is_free_of_the_charge_spread(e):
         tracemalloc.stop()
     assert peak < 2**20
     assert is_complete(cp) and sum(mv) > 10**10
-    b = AbacusPair(((3, 1), (2,)), (0, 10**4), e)
-    assert sum(core_and_vector(b)[1]) == len(core(b)[1])
 
 
 def test_core_and_vector_matches_greedy_simulation():
