@@ -15,13 +15,13 @@ that form and scans no column window: :func:`is_complete` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import (
+    Frozen,
     Multicharge,
     Multipartition,
     Partition,
@@ -35,20 +35,19 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class AbacusPair:
+class AbacusPair(Frozen):
     """A multipartition with its multicharge and quantum characteristic."""
 
-    mp: Multipartition
-    charge: Multicharge
-    e: object  # int >= 2 or INFINITY
+    _fields = __match_args__ = ("mp", "charge", "e")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mp", check_multipartition(self.mp))
-        object.__setattr__(self, "charge", check_integers(self.charge, "multicharge"))
-        check_quantum_char(self.e)
-        if len(self.mp) != len(self.charge):
+    def __init__(self, mp: Multipartition, charge: Multicharge, e):
+        """``e`` is an int >= 2 or INFINITY."""
+        mp = check_multipartition(mp)
+        charge = check_integers(charge, "multicharge")
+        check_quantum_char(e)
+        if len(mp) != len(charge):
             raise ValueError("multipartition and multicharge rank mismatch")
+        self._set(mp, charge, e)
 
     @classmethod
     def _of(cls, mp: Multipartition, charge: Multicharge, e) -> "AbacusPair":
@@ -202,8 +201,7 @@ def dual(a: AbacusPair) -> AbacusPair:
     return AbacusPair._of(mp, charge, a.e)
 
 
-@dataclass(frozen=True)
-class UglovImage:
+class UglovImage(NamedTuple):
     """A 1-runner abacus: a single partition with an integer charge."""
 
     partition: Partition

@@ -11,14 +11,17 @@ and the multicharge induces the dominant weight Lambda; the defect
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 from operator import add, getitem, gt, sub
+from typing import NamedTuple
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
 from .moves import OperationSet, _core_counts, _core_pair, _vector_from_charges
-from .partitions import (
-    _multipartition_counts,
+from .partitions import (  # the budget names stay importable from this module
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceeded,
+    Frozen,
+    _check_budget,
     check_integers,
     check_quantum_char,
     is_finite,
@@ -26,34 +29,8 @@ from .partitions import (
     residue_content,
 )
 
-DEFAULT_ENUMERATION_BUDGET = 10**7
 
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration or an operation set would exceed its
-    configured budget."""
-
-    def __init__(self, estimate: int, budget: int, what: str = "estimated {} candidates"):
-        super().__init__(f"{what.format(estimate)} exceeds budget {budget}")
-        self.estimate = estimate
-        self.budget = budget
-
-
-def _check_budget(n: int, r: int, budget: int) -> None:
-    """Raise :class:`BudgetExceeded` if p_r(n), the number of
-    r-multipartitions of n, exceeds the budget.
-
-    p_r(m) never decreases as m grows, so the recurrence stops at the
-    first m <= n whose count exceeds the budget and names that count:
-    the check costs no more than the budget allows, however large n is.
-    """
-    for estimate in islice(_multipartition_counts(r), n + 1):
-        if estimate > budget:
-            raise BudgetExceeded(estimate, budget)
-
-
-@dataclass(frozen=True)
-class BlockId:
+class BlockId(NamedTuple):
     """Identity of a block: quantum characteristic, multicharge, content."""
 
     e: object
@@ -70,14 +47,14 @@ def block_id(a: AbacusPair) -> BlockId:
     return BlockId(a.e, a.charge, tuple(sorted(content.items())), a.n)
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Frozen):
     """Symmetric Cartan pairing of the cyclic (or doubly infinite) quiver."""
 
-    e: object
+    _fields = __match_args__ = ("e",)
 
-    def __post_init__(self):
-        check_quantum_char(self.e)
+    def __init__(self, e):
+        check_quantum_char(e)
+        self._set(e)
 
     def alpha_alpha(self, i: int, j: int) -> int:
         if self.e == 2:
@@ -349,8 +326,7 @@ class _RowComponents(dict):
         return comp
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     """Outcome of the bounded orbit search: a word, or exhaustion at depth."""
 
     found: bool

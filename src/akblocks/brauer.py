@@ -10,28 +10,28 @@ combinatorial shadow used to cross-check finite-type classifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .partitions import Frozen
 
 
-@dataclass(frozen=True)
-class BrauerLine:
+class BrauerLine(Frozen):
     """A straight-line Brauer tree.
 
     ``multiplicity == 1`` means no exceptional vertex (the vertex field
     is then ignored).
     """
 
-    edges: int
-    vertex: int = 1
-    multiplicity: int = 1
+    _fields = __match_args__ = ("edges", "vertex", "multiplicity")
 
-    def __post_init__(self):
-        if self.edges < 1:
+    def __init__(self, edges: int, vertex: int = 1, multiplicity: int = 1):
+        if edges < 1:
             raise ValueError("a Brauer line needs at least one edge")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if self.multiplicity > 1 and not 1 <= self.vertex <= self.edges + 1:
-            raise ValueError(f"vertex {self.vertex} out of range 1..{self.edges + 1}")
+        if multiplicity > 1 and not 1 <= vertex <= edges + 1:
+            raise ValueError(f"vertex {vertex} out of range 1..{edges + 1}")
+        self._set(edges, vertex, multiplicity)
 
     def vertex_multiplicity(self, v: int) -> int:
         if self.multiplicity > 1 and v == self.vertex:
@@ -39,8 +39,7 @@ class BrauerLine:
         return 1
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cell descriptor: a simple, or a two-factor module top/bottom."""
 
     top: int
@@ -117,8 +116,7 @@ def cell_chains(line: BrauerLine):
     return tuple(chain), mirrored
 
 
-@dataclass(frozen=True)
-class PosetEntry:
+class PosetEntry(NamedTuple):
     """One element of the multiplication poset, in ascending order."""
 
     edge: int  # top composition factor of the cell it labels

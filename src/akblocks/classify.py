@@ -23,8 +23,8 @@ constructions copy the model before they move beads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .abacus import AbacusPair, _pair_of_beads, dual
 from .blocks import (
@@ -132,8 +132,7 @@ def _incomparability_sigma(a: AbacusPair, b: AbacusPair, k1: int, k2: int) -> tu
     return sigma
 
 
-@dataclass(frozen=True)
-class IncomparabilityWitness:
+class IncomparabilityWitness(NamedTuple):
     """Same-block abaci that are incomparable, with verified coordinates."""
 
     mu: tuple
@@ -528,8 +527,7 @@ def block_moving_vector(p: AbacusPair):
     return mv, core_pair
 
 
-@dataclass(frozen=True)
-class ReprTypeReport:
+class ReprTypeReport(NamedTuple):
     """Verdict of the representation-type classification with its evidence."""
 
     verdict: str  # "finite" | "infinite"

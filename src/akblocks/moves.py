@@ -235,12 +235,18 @@ def _vector_from_charges(charge: tuple, core_charge: tuple, w: int, e):
     return mv
 
 
-def _paths_between(a: AbacusPair, b: AbacusPair):
+def _common_cols(a: AbacusPair, b: AbacusPair):
+    """The columns both pairs' subabaci are read over: None with finite
+    e, else the range spanning both pairs' bounds."""
     if a.e != b.e or a.r != b.r:
         raise ValueError("abaci must share quantum characteristic and rank")
-    cols = None
-    if not is_finite(a.e):
-        cols = range(min(a.bounds()[0], b.bounds()[0]), max(a.bounds()[1], b.bounds()[1]))
+    if is_finite(a.e):
+        return None
+    return range(min(a.bounds()[0], b.bounds()[0]), max(a.bounds()[1], b.bounds()[1]))
+
+
+def _paths_between(a: AbacusPair, b: AbacusPair):
+    cols = _common_cols(a, b)
     src, dst = _sub_levels(a, cols), _sub_levels(b, cols)
     for c, (t_a, levels_a) in src.items():
         # list both subabaci from the lower of their two bases
@@ -262,6 +268,18 @@ def operation_set_between(a: AbacusPair, b: AbacusPair):
     """
     ops = OperationSet(_paths_between(a, b), a.e, a.r)
     return ops, _vector_from_charges(a.charge, b.charge, len(ops), a.e)
+
+
+def _op_count_between(a: AbacusPair, b: AbacusPair):
+    """The number of moves from a to b if b is reachable, from
+    :func:`_core_counts` alone: a and b share a core, each its move count
+    away.  None when some subabacus holds other bead counts, so b is not
+    reachable; a count does not show that b is, which only the paths do."""
+    cols = _common_cols(a, b)
+    (tops_a, moves_a), (tops_b, moves_b) = _core_counts(a, cols), _core_counts(b, cols)
+    if tops_a != tops_b:
+        return None
+    return sum(moves_a.values()) - sum(moves_b.values())
 
 
 def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:

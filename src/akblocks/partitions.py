@@ -6,7 +6,9 @@ multipartitions are tuples of partitions, multicharges are tuples of
 integers.  The quantum characteristic ``e`` is either an integer >= 2
 or ``INFINITY``; modular arithmetic (bar the run ends folded with
 ``divmod`` in :func:`residue_content`) goes through :func:`residue` for
-uniformity.
+uniformity.  The budget gate and the base of the plain value classes
+live here too, so every module, the command line's included, has them
+without loading another.
 """
 
 from __future__ import annotations
@@ -22,6 +24,51 @@ INFINITY = math.inf
 Partition = tuple  # tuple[int, ...]
 Multipartition = tuple  # tuple[Partition, ...]
 Multicharge = tuple  # tuple[int, ...]
+
+DEFAULT_ENUMERATION_BUDGET = 10**7
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an enumeration or an operation set would exceed its
+    configured budget."""
+
+    def __init__(self, estimate: int, budget: int, what: str = "estimated {} candidates"):
+        super().__init__(f"{what.format(estimate)} exceeds budget {budget}")
+        self.estimate = estimate
+        self.budget = budget
+
+
+class Frozen:
+    """Base of the plain value classes: ``__init__`` sets the fields named
+    in ``_fields`` once, and the instance compares and hashes as their
+    tuple, against its own class only.  No attribute can be assigned;
+    ``functools.cached_property`` still caches, as it writes the instance
+    dict directly."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, *values):
+        vars(self).update(zip(self._fields, values))
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
 
 
 def check_quantum_char(e):
@@ -304,3 +351,16 @@ def count_multipartitions(n: int, r: int) -> int:
     if n < 0:
         return 0
     return next(islice(_multipartition_counts(r), n, None))
+
+
+def _check_budget(n: int, r: int, budget: int) -> None:
+    """Raise :class:`BudgetExceeded` if p_r(n), the number of
+    r-multipartitions of n, exceeds the budget.
+
+    p_r(m) never decreases as m grows, so the recurrence stops at the
+    first m <= n whose count exceeds the budget and names that count:
+    the check costs no more than the budget allows, however large n is.
+    """
+    for estimate in islice(_multipartition_counts(r), n + 1):
+        if estimate > budget:
+            raise BudgetExceeded(estimate, budget)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 import time
 import tracemalloc
 
@@ -334,3 +336,116 @@ def test_help_still_exits_zero(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr()
     assert out.out.startswith("usage: akblocks") and out.err == ""
+
+
+FAR = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[5, 3], [2]]}
+
+
+def _to_core(job: dict) -> dict:
+    """The job with its own core as the mv target."""
+    pair = AbacusPair(tuple(map(tuple, job["multipartition"])), tuple(job["multicharge"]), job["e"])
+    core_pair, _ = core_and_vector(pair)
+    return dict(job, target_multicharge=list(core_pair.charge), target_multipartition=[list(c) for c in core_pair.mp])
+
+
+def test_mv_refuses_over_budget_before_listing_paths(capsys, monkeypatch):
+    """At spread 10^6 and e = 2 the core is 249,999,500,010 moves away; mv
+    takes that count from bead counts, so it refuses before any path or
+    level is listed."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    job = json.dumps(_to_core(FAR))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mv", job)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "budget",
+        "detail": "operation set of 249999500010 moves exceeds budget 10000000",
+    }
+    assert elapsed < 0.5 and peak < 5 * 2**20
+
+
+def test_mv_checks_budget_before_reachability(capsys, monkeypatch):
+    """mv refuses an over-budget op count before any path is listed, and
+    only under the budget do the paths decide reachability: a target with
+    the same core that some bead would have to climb to, or one with other
+    bead counts, still exits 2."""
+    import akblocks.moves
+
+    def no_paths(a, b):
+        raise AssertionError("paths listed before the budget check")
+
+    monkeypatch.setenv("ABACUS_BUDGET", "12")
+    job = dict(PAIR41, target_multicharge=[0, 1, 2], target_multipartition=[[], [2], [1, 1]])
+    with monkeypatch.context() as m:
+        m.setattr(akblocks.moves, "operation_set_between", no_paths)
+        code, out, err = run(capsys, "mv", json.dumps(job))
+    assert code == 3 and out == ""
+    assert json.loads(err)["detail"] == "operation set of 13 moves exceeds budget 12"
+    # (2) and (1,1) share the empty 2-core, each one move away, but the
+    # bead on subabacus 0 would have to rise: the count 0 passes a budget
+    # of 0, and the path check refuses the target
+    monkeypatch.setenv("ABACUS_BUDGET", "0")
+    job = {"e": 2, "multicharge": [0], "multipartition": [[2]], "target_multicharge": [0],
+           "target_multipartition": [[1, 1]]}
+    code, out, err = run(capsys, "mv", json.dumps(job))
+    assert code == 2 and out == ""
+    assert "would have to move backwards" in json.loads(err)["detail"]
+    job = dict(job, target_multipartition=[[1]], target_multicharge=[1])
+    code, out, err = run(capsys, "mv", json.dumps(job))
+    assert code == 2 and "bead counts differ" in json.loads(err)["detail"]
+
+
+class _HashSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+
+# ((3,1),(2,)), e = 3, charge (0, 800): its core is 106,269 moves away.  The
+# digests are of the output before operation sets were streamed.
+SPREAD_800 = {"e": 3, "multicharge": [0, 800], "multipartition": [[3, 1], [2]]}
+STREAM_DIGESTS = {
+    ("core", ""): "1d2d4f02d9011edae346326c1441d710c4faa814b56d4503f49b6a66cf8958cd",
+    ("core", "--tsv"): "b8af4f2112030f2ed53b0e6d26782b36839c3055487c3d16615713f82bdc177d",
+    ("mv", ""): "1432c3123ab23fdbd6c3f322800ea9df4994e563c0dc820d3be41b2cc70f256a",
+    ("mv", "--tsv"): "394083e34efc8a7f17ca168e49b5a9b64b21562a57d695fc302be83119f586f3",
+}
+
+
+def _streamed(monkeypatch, command, flag):
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    job = SPREAD_800 if command == "core" else _to_core(SPREAD_800)
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([command, json.dumps(job), *filter(None, [flag])]) == 0
+    return sink.sha.hexdigest()
+
+
+@pytest.mark.parametrize("command, flag", list(STREAM_DIGESTS))
+def test_streamed_operation_sets_keep_their_bytes(monkeypatch, command, flag):
+    assert _streamed(monkeypatch, command, flag) == STREAM_DIGESTS[command, flag]
+
+
+@pytest.mark.parametrize("command, flag", [("core", ""), ("mv", "--tsv")])
+def test_streamed_operation_sets_stay_small(monkeypatch, command, flag):
+    """Written in chunks, 106,269 moves take about 1 MB of traced memory;
+    built as one dict per move they took about 30 MB."""
+    tracemalloc.start()
+    try:
+        digest = _streamed(monkeypatch, command, flag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == STREAM_DIGESTS[command, flag]
+    assert peak < 16 * 2**20
