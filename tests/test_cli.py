@@ -7,6 +7,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from akblocks import moves
 from akblocks.abacus import AbacusPair
 from akblocks.cli import SCHEMAS, main
 from akblocks.moves import core_and_vector
@@ -375,7 +376,6 @@ def test_mv_checks_budget_before_reachability(capsys, monkeypatch):
     only under the budget do the paths decide reachability: a target with
     the same core that some bead would have to climb to, or one with other
     bead counts, still exits 2."""
-    import akblocks.moves
 
     def no_paths(a, b):
         raise AssertionError("paths listed before the budget check")
@@ -383,7 +383,7 @@ def test_mv_checks_budget_before_reachability(capsys, monkeypatch):
     monkeypatch.setenv("ABACUS_BUDGET", "12")
     job = dict(PAIR41, target_multicharge=[0, 1, 2], target_multipartition=[[], [2], [1, 1]])
     with monkeypatch.context() as m:
-        m.setattr(akblocks.moves, "operation_set_between", no_paths)
+        m.setattr(moves, "operation_set_between", no_paths)
         code, out, err = run(capsys, "mv", json.dumps(job))
     assert code == 3 and out == ""
     assert json.loads(err)["detail"] == "operation set of 13 moves exceeds budget 12"
