@@ -10,7 +10,9 @@ instance as (floor, extras): every column below the floor is beaded,
 plus the finitely many beta-numbers in ``extras``.  Every reader takes
 that form and scans no column window: :func:`is_complete` and
 :func:`subabacus_diff` cost O(parts) whatever the charge spread, and
-:func:`uglov` and :func:`render` cost the size of their output.
+:func:`uglov` and :func:`render` cost the size of their output.  Every
+bead move in the library goes through :func:`_moved`, which rebuilds
+only the rows it touches.
 """
 
 from __future__ import annotations
@@ -147,6 +149,46 @@ def _pair_of_beads(rows: Sequence, e) -> AbacusPair:
     """:func:`pair_from_beads` without the checks, for bead sets the
     library derived from validated pairs."""
     return AbacusPair._of(*_decode_rows(rows), e)
+
+
+def _wrap(a: AbacusPair, row: int, col: int) -> tuple:
+    """The position (row, col), with row r + k read as row k shifted right by e."""
+    while row > a.r:
+        if not is_finite(a.e):
+            raise ValueError("row wrap needs finite e")
+        row, col = row - a.r, col - a.e
+    a._check_row(row)
+    return row, col
+
+
+def _moved(a: AbacusPair, *moves) -> AbacusPair:
+    """The pair after each (src, dst) bead move in turn, positions read by
+    :func:`_wrap`.  Raises if a source is empty or a target occupied.
+    Only the touched rows are rebuilt, each held from the lower of its
+    floor and the columns it is read at."""
+    rows = {}
+
+    def beads(row: int, col: int) -> set:
+        floor, held = rows.get(row) or (a._beadsets[row - 1][0], set(a._beadsets[row - 1][1]))
+        if col < floor:
+            held.update(range(col, floor))
+            floor = col
+        rows[row] = floor, held
+        return held
+
+    for src, dst in moves:
+        src, dst = _wrap(a, *src), _wrap(a, *dst)
+        held_src, held_dst = beads(*src), beads(*dst)  # one set if one row
+        if src[1] not in held_src:
+            raise ValueError(f"no bead at {src}")
+        if dst[1] in held_dst:
+            raise ValueError(f"target {dst} occupied")
+        held_src.remove(src[1])
+        held_dst.add(dst[1])
+    mp, charge = list(a.mp), list(a.charge)
+    for row, (floor, held) in rows.items():
+        mp[row - 1], charge[row - 1] = row_from_beads(floor, held)
+    return AbacusPair._of(tuple(mp), tuple(charge), a.e)
 
 
 def n_right(a: AbacusPair, row: int, col: int) -> int:

@@ -16,7 +16,6 @@ from operator import add, getitem, gt, sub
 from typing import NamedTuple
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
-from .moves import OperationSet, _core_counts, _core_pair, _vector_from_charges
 from .partitions import (  # the budget names stay importable from this module
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceeded,
@@ -175,6 +174,8 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     of r-multipartitions of n.  The budget still gates on p_r(n):
     :class:`BudgetExceeded` is raised when that estimate exceeds it.
     """
+    from .moves import _core_pair, _sub_levels, _vector_from_charges
+
     r = len(b.charge)
     _check_budget(b.n, r, budget)
     e = b.e
@@ -185,7 +186,18 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
         return []
     charge, sigma = normalize_multicharge(b.charge, e)
     w = defect(b)
-    tops, lo = _core_tops(charge, content, e)
+    # a core fills each subabacus below its base plus its bead count, and adding
+    # a node of residue f moves a bead from subabacus f-1 to f, so the tops are
+    # the empty multipartition's shifted by c_f - c_(f+1); with infinite e the
+    # columns below lo are full and those past the tops empty
+    empty = AbacusPair(((),) * r, charge, e)
+    lo, hi = empty.bounds()
+    if content and not is_finite(e):
+        lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
+    tops = {
+        f: t_base + len(levels) + content.get(f, 0) - content.get(residue(f + 1, e), 0)
+        for f, (t_base, levels) in _sub_levels(empty, range(lo, hi)).items()
+    }
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
         return []
     core = _core_pair(tops, lo, e, r)
@@ -210,25 +222,6 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     return members
 
 
-def _core_tops(charge: tuple, content: dict, e):
-    """({subabacus: top level of the core}, lo) for a normalized charge.
-
-    Adding a node of residue f moves a bead from subabacus f-1 to
-    subabacus f, so the core's tops are those of the empty
-    multipartition shifted by c_f - c_(f+1).  With infinite e the
-    columns below ``lo`` are full and those past the returned ones empty.
-    """
-    empty = AbacusPair(((),) * len(charge), charge, e)
-    lo, hi = empty.bounds()
-    if content and not is_finite(e):
-        lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
-    tops = {
-        f: top + content.get(f, 0) - content.get(residue(f + 1, e), 0)
-        for f, top in _core_counts(empty, range(lo, hi))[0].items()
-    }
-    return tops, lo
-
-
 def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
     """{per-row tally: lifts} for every partition pi lifted onto
     subabacus c (bead i rising from level top - i by pi_i) whose tally
@@ -244,12 +237,11 @@ def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
         max_len = max_part = sum(mv)
     else:
         max_len, max_part = top, r - top
-    # the position and the one-move tally of every level a lift can touch;
-    # one path through the span leaves each of its levels, top first, and
-    # the move at level t lies in row r - (t mod r)
+    # the position and the one-move tally of every level a lift can touch:
+    # level t lies in row r - (t mod r), column (t // r) * e + c
     span = range(top - max_len, top + max_part)
-    through = OperationSet([(c, 0, span.stop - 1, span.start - 1)], e, r)
-    where = {t: (place[op.row - 1], op.col) for t, op in zip(reversed(span), through)}
+    step = e if is_finite(e) else 0
+    where = {t: (place[r - 1 - t % r], t // r * step + c) for t in span}
     unit = {t: tuple(int(x == r - 1 - t % r) for x in range(r)) for t in span}
     changes: dict = {}
     groups: dict = {}

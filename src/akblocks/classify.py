@@ -16,17 +16,18 @@ row r + 1 read as row 1 shifted by e, or any later row for
 ``construct_four_rows_one_column``).  In a complete abacus, such as the
 block's core, each row's beads lie in the next row's, so it has no bead
 over a hole, and neither has its dual.  The seeds are therefore the
-member and then, only if it yields nothing, its dual.  Each seed is read
-once into a scratch model that memoizes its row-pair column lists; the
-constructions copy the model before they move beads.
+member and then, only if it yields nothing, its dual.  The four
+constructions share one memo of each seed's row-pair column lists, read
+from the rows' (floor, extras), and build their pairs from the seed
+with :func:`akblocks.abacus._moved`, the library's one bead move.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
-from .abacus import AbacusPair, _pair_of_beads, dual
+from .abacus import AbacusPair, _moved, _wrap, dual
 from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
@@ -142,216 +143,155 @@ class IncomparabilityWitness(NamedTuple):
     sigma: tuple
 
 
-class _BeadRows:
-    """Mutable bead-set scratch model for the witness constructions.
+class _RowPairCols(dict):
+    """{(low row, high row): (bead-over-hole, hole-under-bead) columns} of
+    one seed pair, each sorted and read on first use from the rows'
+    (floor, extras), row r + k as row k shifted right by e; callers must
+    not mutate the lists."""
 
-    ``cols`` memoizes the sorted column lists of each row pair; a copy
-    starts with an empty memo and a move clears it.
-    """
+    def __init__(self, seed: AbacusPair):
+        super().__init__()
+        self.seed = seed
 
-    def __init__(self, pair: AbacusPair):
-        self.e, self.r = pair.e, pair.r
-        step = pair.e if is_finite(pair.e) else 1
-        lo, hi = pair.bounds()
-        self.lo = lo - 2 * (step + 1)
-        self.hi = hi + step + 1
-        self.rows = {
-            i: set(range(self.lo, floor)) | extras
-            for i, (floor, extras) in enumerate(pair._beadsets, start=1)
-        }
-        self.cols = {}
-
-    def wrap(self, row: int, col: int):
-        while row > self.r:
-            if not is_finite(self.e):
-                raise ValueError("row wrap needs finite e")
-            row -= self.r
-            col -= self.e
-        return row, col
-
-    def bead(self, row: int, col: int) -> bool:
-        row, col = self.wrap(row, col)
-        if col < self.lo:
-            return True
-        return col in self.rows[row]
-
-    def beaded(self, row: int) -> set:
-        """The columns from lo on that carry a bead in the (wrapped) row."""
-        row, col = self.wrap(row, 0)
-        shift = -col  # a row r*m + row reads row ``row`` shifted right by m*e
-        cols = {c + shift for c in self.rows[row]}
-        cols.update(range(self.lo, self.lo + shift))
+    def __missing__(self, key: tuple) -> tuple:
+        (f1, x1), (f2, x2) = (_row(self.seed, row) for row in key)
+        cols = self[key] = (
+            sorted(c for c in chain(x1, range(f2, f1)) if c >= f2 and c not in x2),
+            sorted(c for c in chain(x2, range(f1, f2)) if c >= f1 and c not in x1),
+        )
         return cols
 
-    def copy(self) -> "_BeadRows":
-        new = object.__new__(_BeadRows)
-        new.e, new.r, new.lo, new.hi = self.e, self.r, self.lo, self.hi
-        new.rows = {i: set(cols) for i, cols in self.rows.items()}
-        new.cols = {}
-        return new
 
-    def move(self, src, dst):
-        (sr, sc), (dr, dc) = self.wrap(*src), self.wrap(*dst)
-        if sc < self.lo or dc < self.lo:
-            raise ValueError("move leaves the scratch window")
-        if sc not in self.rows[sr]:
-            raise ValueError(f"no bead at {(sr, sc)}")
-        if dc in self.rows[dr]:
-            raise ValueError(f"target {(dr, dc)} occupied")
-        self.rows[sr].discard(sc)
-        self.rows[dr].add(dc)
-        self.cols.clear()
-        return self
-
-    def pair(self) -> AbacusPair:
-        return _pair_of_beads(
-            [(self.lo, self.rows[i]) for i in range(1, self.r + 1)], self.e
-        )
+def _row(seed: AbacusPair, row: int) -> tuple:
+    """(floor, extras) of a row, row r + k read as row k shifted right by e."""
+    row, col = _wrap(seed, row, 0)
+    shift = -col  # row r*m + k reads row k shifted right by m*e
+    floor, extras = seed._beadsets[row - 1]
+    return floor + shift, {x + shift for x in extras}
 
 
-def _scan_cols(model: _BeadRows):
-    return range(model.lo + 1, model.hi)
-
-
-def _in_scan(model: _BeadRows, cols) -> list:
-    return sorted(h for h in cols if model.lo < h < model.hi)
-
-
-def _row_pair_cols(model: _BeadRows, low_row: int, high_row: int) -> tuple:
-    """(bead-over-hole, hole-under-bead) scan columns of a row pair,
-    sorted and memoized on the model; callers must not mutate them."""
-    key = (low_row, high_row)
-    cols = model.cols.get(key)
-    if cols is None:
-        low, high = model.beaded(low_row), model.beaded(high_row)
-        cols = model.cols[key] = (_in_scan(model, low - high), _in_scan(model, high - low))
-    return cols
-
-
-def _cols_bead_over_empty(model: _BeadRows, low_row: int, high_row: int):
+def _cols_bead_over_empty(cols: _RowPairCols, low_row: int, high_row: int):
     """Columns with a bead in low_row and a hole at the (wrapped) high_row."""
-    return _row_pair_cols(model, low_row, high_row)[0]
+    return cols[low_row, high_row][0]
 
 
-def _cols_empty_under_bead(model: _BeadRows, low_row: int, high_row: int):
+def _cols_empty_under_bead(cols: _RowPairCols, low_row: int, high_row: int):
     """Columns with a hole in low_row and a bead at the (wrapped) high_row."""
-    return _row_pair_cols(model, low_row, high_row)[1]
+    return cols[low_row, high_row][1]
 
 
-def _build_two_runners(model: _BeadRows, j: int, h1: int, h2: int):
-    down = _cols_empty_under_bead(model, j, j + 1)
-    down = [h for h in down if h not in (h1, h2)]
+def _build_two_runners(cols: _RowPairCols, j: int, h1: int, h2: int):
+    seed = cols.seed
+    down = [h for h in _cols_empty_under_bead(cols, j, j + 1) if h not in (h1, h2)]
     if len(down) < 2:
         return None
     h3, h4 = down[0], down[1]
-    bar = model.copy().move((j, h1), (j + 1, h1)).move((j, h2), (j + 1, h2))
+    # every construction moves to one intermediate abacus, then mu and nu
+    # each move two beads more
+    bar = (((j, h1), (j + 1, h1)), ((j, h2), (j + 1, h2)))
     l1, l2, l3, l4 = sorted((h1, h2, h3, h4))
-    mu = bar.copy().move((j + 1, l1), (j, l1)).move((j + 1, l4), (j, l4))
-    nu = bar.copy().move((j + 1, l2), (j, l2)).move((j + 1, l3), (j, l3))
-    return mu.pair(), nu.pair(), (j, l4) + bar.wrap(j + 1, l1)
+    mu = _moved(seed, *bar, ((j + 1, l1), (j, l1)), ((j + 1, l4), (j, l4)))
+    nu = _moved(seed, *bar, ((j + 1, l2), (j, l2)), ((j + 1, l3), (j, l3)))
+    return mu, nu, _wrap(seed, j, l4) + _wrap(seed, j + 1, l1)
 
 
-def construct_two_runners_two_columns(model: _BeadRows):
+def construct_two_runners_two_columns(cols: _RowPairCols):
     """Witness from two columns carrying a bead over a hole in one row pair."""
-    top = model.r + (1 if is_finite(model.e) else 0)
-    for j in range(1, top):
-        up = _cols_bead_over_empty(model, j, j + 1)
+    seed = cols.seed
+    for j in range(1, seed.r + is_finite(seed.e)):
+        up = _cols_bead_over_empty(cols, j, j + 1)
         if len(up) >= 2:
-            built = _build_two_runners(model, j, up[0], up[1])
+            built = _build_two_runners(cols, j, up[0], up[1])
             if built:
                 return built
     return None
 
 
-def construct_four_runners(model: _BeadRows):
+def construct_four_runners(cols: _RowPairCols):
     """Witness from bead-over-hole columns in two separated row pairs."""
-    if model.r < 4:
+    seed = cols.seed
+    if seed.r < 4:
         return None
-    top = model.r + (1 if is_finite(model.e) else 0)
+    top = seed.r + is_finite(seed.e)
     for i in range(1, top):
         for j in range(i + 2, top):
-            if j == model.r and i == 1:
+            if j == seed.r and i == 1:
                 continue
-            ups_i = _cols_bead_over_empty(model, i, i + 1)
-            ups_j = _cols_bead_over_empty(model, j, j + 1)
-            downs_i = _cols_empty_under_bead(model, i, i + 1)
-            downs_j = _cols_empty_under_bead(model, j, j + 1)
+            ups_i = _cols_bead_over_empty(cols, i, i + 1)
+            ups_j = _cols_bead_over_empty(cols, j, j + 1)
+            downs_i = _cols_empty_under_bead(cols, i, i + 1)
+            downs_j = _cols_empty_under_bead(cols, j, j + 1)
             if not (ups_i and ups_j and downs_i and downs_j):
                 continue
             l, h = ups_i[0], ups_j[0]
             l_, h_ = downs_i[0], downs_j[0]
-            bar = model.copy().move((i, l), (i + 1, l)).move((j, h), (j + 1, h))
+            bar = (((i, l), (i + 1, l)), ((j, h), (j + 1, h)))
             l1, l2 = sorted((l, l_))
             h1, h2 = sorted((h, h_))
-            mu = bar.copy().move((i + 1, l2), (i, l2)).move((j + 1, h1), (j, h1))
-            nu = bar.copy().move((i + 1, l1), (i, l1)).move((j + 1, h2), (j, h2))
-            return mu.pair(), nu.pair(), (i, l2) + bar.wrap(j + 1, h1)
+            mu = _moved(seed, *bar, ((i + 1, l2), (i, l2)), ((j + 1, h1), (j, h1)))
+            nu = _moved(seed, *bar, ((i + 1, l1), (i, l1)), ((j + 1, h2), (j, h2)))
+            return mu, nu, (i, l2) + _wrap(seed, j + 1, h1)
     return None
 
 
-def construct_three_runners(model: _BeadRows):
+def construct_three_runners(cols: _RowPairCols):
     """Witness from the three-adjacent-rows patterns."""
-    if model.r < 3:
+    seed = cols.seed
+    if seed.r < 3:
         return None
-    top = model.r + (2 if is_finite(model.e) else 0)
-    for i in range(1, min(model.r, top - 2) + 1):
-        ups1 = _cols_bead_over_empty(model, i, i + 1)[:4]
-        downs1 = _cols_empty_under_bead(model, i, i + 1)[:4]
-        ups2 = _cols_bead_over_empty(model, i + 1, i + 2)[:4]
-        downs2 = _cols_empty_under_bead(model, i + 1, i + 2)[:4]
+    top = seed.r + 2 * is_finite(seed.e)
+    for i in range(1, min(seed.r, top - 2) + 1):
+        ups1 = _cols_bead_over_empty(cols, i, i + 1)[:4]
+        downs1 = _cols_empty_under_bead(cols, i, i + 1)[:4]
+        ups2 = _cols_bead_over_empty(cols, i + 1, i + 2)[:4]
+        downs2 = _cols_empty_under_bead(cols, i + 1, i + 2)[:4]
         for l1 in ups1:
             for l4 in downs2:
                 for l2 in downs1:
                     for l3 in ups2:
                         if l1 == l4 and l2 == l3:
                             continue
-                        built = _three_runners_cases(model, i, l1, l2, l3, l4)
+                        built = _three_runners_cases(cols, i, l1, l2, l3, l4)
                         if built:
                             return built
     return None
 
 
-def _three_runners_cases(model: _BeadRows, i: int, l1: int, l2: int, l3: int, l4: int):
+def _three_runners_cases(cols: _RowPairCols, i: int, l1: int, l2: int, l3: int, l4: int):
+    seed = cols.seed
     if l1 != l4 and l2 != l3:
-        bar = model.copy().move((i, l1), (i + 1, l1)).move((i + 1, l3), (i + 2, l3))
+        bar = (((i, l1), (i + 1, l1)), ((i + 1, l3), (i + 2, l3)))
         h1, h2 = sorted((l1, l2))
         h3, h4 = sorted((l3, l4))
-        mu = bar.copy().move((i + 1, h2), (i, h2)).move((i + 2, h3), (i + 1, h3))
-        nu = bar.copy().move((i + 1, h1), (i, h1)).move((i + 2, h4), (i + 1, h4))
-        return mu.pair(), nu.pair(), (i, h2) + bar.wrap(i + 2, h3)
+        mu = _moved(seed, *bar, ((i + 1, h2), (i, h2)), ((i + 2, h3), (i + 1, h3)))
+        nu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, h4), (i + 1, h4)))
+        return mu, nu, (i, h2) + _wrap(seed, i + 2, h3)
     if l1 == l4 and l2 != l3:
-        if not model.bead(i + 2, l2):
-            return _build_two_runners(model, *_wrap_args(model, i + 1, l2, l3))
-        bar = model.copy().move((i, l1), (i + 1, l1)).move((i + 1, l3), (i + 2, l3))
+        if not seed.has_bead(*_wrap(seed, i + 2, l2)):
+            return _build_two_runners(cols, i + 1, l2, l3)
+        bar = (((i, l1), (i + 1, l1)), ((i + 1, l3), (i + 2, l3)))
         h1, h2 = sorted((l1, l2))
         if l3 > h2 or l3 < h1:
-            mu = bar.copy().move((i + 1, h2), (i, h2)).move((i + 2, h2), (i + 1, h2))
-            nu = bar.copy().move((i + 1, h1), (i, h1)).move((i + 2, l3), (i + 1, l3))
-            coords = (i, h2) + (bar.wrap(i + 2, h2) if l3 > h2 else bar.wrap(i + 1, l3))
-            return mu.pair(), nu.pair(), coords
-        mu = bar.copy().move((i + 1, h1), (i, h1)).move((i + 2, h1), (i + 1, h1))
-        nu = bar.copy().move((i + 2, l3), (i + 1, l3)).move((i + 1, h2), (i, h2))
-        return mu.pair(), nu.pair(), bar.wrap(i + 1, h2) + bar.wrap(i + 2, h1)
+            mu = _moved(seed, *bar, ((i + 1, h2), (i, h2)), ((i + 2, h2), (i + 1, h2)))
+            nu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, l3), (i + 1, l3)))
+            coords = (i, h2) + (_wrap(seed, i + 2, h2) if l3 > h2 else _wrap(seed, i + 1, l3))
+            return mu, nu, coords
+        mu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, h1), (i + 1, h1)))
+        nu = _moved(seed, *bar, ((i + 2, l3), (i + 1, l3)), ((i + 1, h2), (i, h2)))
+        return mu, nu, _wrap(seed, i + 1, h2) + _wrap(seed, i + 2, h1)
     # remaining shape (l1 != l4, l2 == l3) is handled on the dual abacus
     return None
 
 
-def _wrap_args(model: _BeadRows, j: int, h1: int, h2: int):
-    if j <= model.r:
-        return j, h1, h2
-    jj, hh1 = model.wrap(j, h1)
-    _, hh2 = model.wrap(j, h2)
-    return jj, hh1, hh2
-
-
-def construct_four_rows_one_column(model: _BeadRows):
+def construct_four_rows_one_column(cols: _RowPairCols):
     """Witness from one column with beads under holes on four rows."""
-    if model.r < 4:
+    seed = cols.seed
+    if seed.r < 4:
         return None
-    for h in _scan_cols(model):
-        # scan columns lie above lo, so a row carries a bead there iff its set holds it
-        rows_b = [i for i in range(1, model.r + 1) if h in model.rows[i]]
-        rows_e = [i for i in range(1, model.r + 1) if h not in model.rows[i]]
+    for h in range(*seed.bounds()):
+        beaded = [h < floor or h in extras for floor, extras in seed._beadsets]
+        rows_b = [i for i, bead in enumerate(beaded, 1) if bead]
+        rows_e = [i for i, bead in enumerate(beaded, 1) if not bead]
         quad = None
         for i1, i2 in combinations(rows_b, 2):
             above = [x for x in rows_e if x > i2]
@@ -361,16 +301,16 @@ def construct_four_rows_one_column(model: _BeadRows):
         if not quad:
             continue
         i1, i2, i3, i4 = quad
-        h1 = next((x for x in _cols_empty_under_bead(model, i1, i3) if x != h), None)
-        h2 = next((x for x in _cols_empty_under_bead(model, i2, i4) if x != h), None)
+        h1 = next((x for x in _cols_empty_under_bead(cols, i1, i3) if x != h), None)
+        h2 = next((x for x in _cols_empty_under_bead(cols, i2, i4) if x != h), None)
         if h1 is None or h2 is None:
             continue
-        bar = model.copy().move((i1, h), (i3, h)).move((i2, h), (i4, h))
+        bar = (((i1, h), (i3, h)), ((i2, h), (i4, h)))
         l1, l3 = sorted((h, h1))
         l2, l4 = sorted((h, h2))
-        mu = bar.copy().move((i3, l3), (i1, l3)).move((i4, l2), (i2, l2))
-        nu = bar.copy().move((i3, l1), (i1, l1)).move((i4, l4), (i2, l4))
-        return mu.pair(), nu.pair(), (i1, l3, i4, l2)
+        mu = _moved(seed, *bar, ((i3, l3), (i1, l3)), ((i4, l2), (i2, l2)))
+        nu = _moved(seed, *bar, ((i3, l1), (i1, l1)), ((i4, l4), (i2, l4)))
+        return mu, nu, (i1, l3, i4, l2)
     return None
 
 
@@ -437,15 +377,15 @@ def _constructed_witness(member: AbacusPair, b: BlockId):
 
     Every construction needs a bead over a hole, which a complete abacus
     (the core, or its dual) never has, so neither is tried.  The dual is
-    built only when the member yields nothing, and each seed is read into
-    one scratch model that all four constructions share.
+    built only when the member yields nothing, and all four constructions
+    share one memo of the seed's row-pair columns.
     """
     for dualized in (False, True):
         seed = dual(member) if dualized else member
-        model = _BeadRows(seed)
+        cols = _RowPairCols(seed)
         for build in _CONSTRUCTIONS:
             try:
-                built = build(model)
+                built = build(cols)
             except ValueError:
                 built = None
             if not built:
@@ -503,12 +443,18 @@ def find_incomparable_pair(
     seed = AbacusPair(member, b.charge, b.e)
     if block_id(seed) != b:
         raise ValueError("the given member does not lie in the block")
+    return _witness_search(seed, b, pair_budget, enumeration_budget, members)
+
+
+def _witness_search(seed: AbacusPair, b: BlockId, pair_budget: int, enumeration_budget: int, members=None):
+    """The constructions on a member ``seed`` of ``b``, then the scan over
+    the block's members (enumerated unless given)."""
     witness = _witness_by_construction(seed, b)
     if witness:
         return witness
     if members is None:
         members = enumerate_block_members(b, budget=enumeration_budget)
-    return _witness_by_scan(members, seed.charge, b, pair_budget)
+    return _witness_by_scan(members, b.charge, b, pair_budget)
 
 
 def block_moving_vector(p: AbacusPair):
@@ -601,14 +547,10 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
                 )
     witness = None
     if r >= 2 and witness_budget > 0:
-        # find_incomparable_pair's search on q, without re-checking it
-        bid = block_id(q)
         try:
-            witness = _constructed_witness(q, bid) or _witness_by_scan(
-                enumerate_block_members(bid), charge_norm, bid, witness_budget
-            )
+            witness = _witness_search(q, block_id(q), witness_budget, DEFAULT_ENUMERATION_BUDGET)
         except BudgetExceeded:
-            witness = None
+            pass
     return ReprTypeReport(verdict="infinite", witness=witness, **report)
 
 

@@ -8,14 +8,16 @@ with ``"inf"`` for an infinite quantum characteristic.  The object is
 passed as the positional argument (or ``-`` to read it from stdin).
 Results go to stdout as JSON by default (``--tsv`` and ``--ascii`` are
 the alternates), diagnostics to stderr as one JSON object per line.
-Exit codes: 0 success, 2 parse/validation error, 3 budget exhaustion.
+Exit codes: 0 success, 2 parse/validation error, 3 budget exhaustion
+(``ABACUS_BUDGET`` bounds enumerations, operation sets and the cells of
+a ``render`` window).
 
 Start-up.  A process runs one job and spends most of its time loading
 code, so this module imports only ``abacus`` and ``partitions`` up front
 and each command imports what it runs once its job is parsed: ``dual``,
 ``uglov``, ``render`` and parse errors nothing more; ``brauer-line``
 ``brauer``; ``core``, ``mv`` and ``rotate`` ``moves``; ``block-id``,
-``defect`` and ``sigma`` ``blocks`` (with ``moves``); ``classify``,
+``defect`` and ``sigma`` ``blocks`` alone; ``classify``,
 ``schur-classify``, ``witness``, ``enumerate`` and ``derived-class``
 ``classify``.  No module imports ``dataclasses``.  Medians of 25
 processes on a shared 2-vCPU Xeon, Python 3.11, before (all modules and
@@ -252,18 +254,18 @@ def _budget() -> int:
         raise JobError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
 
 
-def _check_op_budget(moves_count: int) -> None:
-    """Refuse an operation set of more moves than the budget allows."""
+def _check_size(size: int, what: str = "operation set of {} moves") -> None:
+    """Refuse an output of more items (moves, render cells) than the budget allows."""
     budget = _budget()
-    if moves_count > budget:
-        raise BudgetExceeded(moves_count, budget, "operation set of {} moves")
+    if size > budget:
+        raise BudgetExceeded(size, budget, what)
 
 
 def _cmd_core(job, args):
     a = _pair_from_job(job)
     from . import moves
     # the vector's sum is the op count, known before any bead path is listed
-    _check_op_budget(sum(moves.core_and_vector(a)[1]))
+    _check_size(sum(moves.core_and_vector(a)[1]))
     core_pair, ops, mv = moves.core(a)
     return {"core": _pair_json(core_pair), "operation_set": _OpStream(ops), "moving_vector": list(mv)}
 
@@ -276,7 +278,7 @@ def _cmd_mv(job, args):
     # listed; the paths then show whether b is reachable at all
     count = moves._op_count_between(a, b)
     if count is not None:
-        _check_op_budget(count)
+        _check_size(count)
     ops, mv = moves.operation_set_between(a, b)
     return {"moving_vector": list(mv), "operation_set": _OpStream(ops)}
 
@@ -419,6 +421,7 @@ def _cmd_render(job, args):
     else:
         lo, hi = a.bounds()
         lo, hi = lo - 1, hi
+    _check_size(a.r * (hi - lo + 1), "render window of {} cells")
     text = abacus.render(a, (lo, hi))
     return {"rows": text.split("\n"), "window": [lo, hi]}
 

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 from operator import add, eq, index, sub
 from typing import NamedTuple
 
-from .abacus import AbacusPair, row_from_beads
+from .abacus import AbacusPair, _moved, row_from_beads
 from .partitions import (
     Multicharge,
     Multipartition,
@@ -430,21 +430,12 @@ def core_and_vector(a: AbacusPair):
 
 def apply_op(a: AbacusPair, op: ElementaryOp) -> AbacusPair:
     """Perform one elementary move; the source must carry a bead and the
-    target must be empty."""
-    r = a.r
-    if not 1 <= op.row <= r:
-        raise ValueError(f"row {op.row} out of range 1..{r}")
-    if op.row < r:
-        target = (op.row + 1, op.col)
-    else:
-        if not is_finite(a.e):
-            raise ValueError("second-kind moves need finite e")
-        target = (1, op.col - a.e)
-    if not a.has_bead(op.row, op.col):
-        raise ValueError(f"no bead at source position ({op.row}, {op.col})")
-    if a.has_bead(*target):
-        raise ValueError(f"target position {target} is blocked by a bead")
-    return _moved(a, (op.row, op.col), target)
+    target must be empty.  The target (r + 1, col) of a second-kind move
+    is read as (1, col - e)."""
+    a._check_row(op.row)
+    if op.row == a.r and not is_finite(a.e):
+        raise ValueError("second-kind moves need finite e")
+    return _moved(a, ((op.row, op.col), (op.row + 1, op.col)))
 
 
 def remove_rim_hook(a: AbacusPair, row: int, col: int) -> AbacusPair:
@@ -456,11 +447,8 @@ def remove_rim_hook(a: AbacusPair, row: int, col: int) -> AbacusPair:
     """
     if not is_finite(a.e):
         raise ValueError("rim hooks need finite e")
-    if not a.has_bead(row, col + a.e):
-        raise ValueError(f"no bead at ({row}, {col + a.e})")
-    if a.has_bead(row, col):
-        raise ValueError(f"position ({row}, {col}) is not empty")
-    return _moved(a, (row, col + a.e), (row, col))
+    a._check_row(row)
+    return _moved(a, ((row, col + a.e), (row, col)))
 
 
 def rotate_rows(a: AbacusPair, i: int) -> AbacusPair:
@@ -489,24 +477,6 @@ def _check_vector_preconditions(s, s_star, m, e):
                 f"charge condition fails at slot {i + 1}: "
                 f"{s_star[i]} != {s[i]} - {m[i]} + {m[i - 1]}"
             )
-
-
-def _moved(a: AbacusPair, src: tuple, dst: tuple) -> AbacusPair:
-    """The pair with the bead at ``src`` moved to the empty ``dst``.  Only
-    the rows of the two positions are rebuilt, each from the lower of its
-    floor and the column (an empty ``dst`` is never below the floor)."""
-    rows = {}
-    for row, col in (src, dst):
-        if row not in rows:
-            floor, extras = a._beadsets[row - 1]
-            lo = min(floor, col)
-            rows[row] = (lo, set(extras).union(range(lo, floor)))
-    rows[src[0]][1].discard(src[1])
-    rows[dst[0]][1].add(dst[1])
-    mp, charge = list(a.mp), list(a.charge)
-    for row, (lo, beads) in rows.items():
-        mp[row - 1], charge[row - 1] = row_from_beads(lo, beads)
-    return AbacusPair._of(tuple(mp), tuple(charge), a.e)
 
 
 def _construct_last_zero(s: tuple, s_star: tuple, m: tuple, e) -> Multipartition:
@@ -580,9 +550,10 @@ def construct_from_vector(s: Multicharge, s_star: Multicharge, m, e) -> Multipar
     s_star_rot = tuple(x - e for x in s_star[i:]) + s_star[:i]
     m_rot = tuple(x - m_min for x in m[i:] + m[:i - 1]) + (0,)
     mu = _construct_last_zero(s_rot, s_star_rot, m_rot, e)
-    # lift the top bead of row 1 by m_min * e
-    pair = AbacusPair(mu, s_rot, e)
-    floor, extras = pair._beadsets[0]
-    top = max(extras, default=floor - 1)
-    lam_bar = _moved(pair, (1, top), (1, top + m_min * e)).mp
-    return lam_bar[r - i:] + lam_bar[:r - i]
+    if m_min:
+        # lift the top bead of row 1 by m_min * e
+        pair = AbacusPair(mu, s_rot, e)
+        floor, extras = pair._beadsets[0]
+        top = max(extras, default=floor - 1)
+        mu = _moved(pair, ((1, top), (1, top + m_min * e))).mp
+    return mu[r - i:] + mu[:r - i]

@@ -19,15 +19,17 @@ vector is tallied from those paths row by row rather than from the
 charges.  The witness
 search is checked against its earlier form, which ran the pattern
 constructions on four seeds: the core, the member and both their duals,
-each read into its own fresh scratch model for every construction.
+each read into its own fresh column memo for every construction.  The
+bead move that the constructions and ``apply_op`` share is checked
+against a rebuild of every row's bead set, read column by column.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from akblocks.abacus import AbacusPair, dual
-from akblocks.classify import _CONSTRUCTIONS, _BeadRows, _dual_coords, _witness_from
+from akblocks.abacus import AbacusPair, dual, pair_from_beads
+from akblocks.classify import _CONSTRUCTIONS, _dual_coords, _RowPairCols, _witness_from
 from akblocks.moves import ElementaryOp, apply_op, core
 from akblocks.blocks import BlockId, CartanData, weight_multiplicities
 from akblocks.partitions import (
@@ -317,14 +319,42 @@ def subabacus_moving_vector_by_ops(b, members):
     return dict(sorted(counts.items()))
 
 
-def cols_by_scan(model, low_row, high_row, low_bead, high_bead):
-    """Scan columns of a witness-construction model whose (wrapped) low
-    and high rows carry the given bead states, one column at a time."""
+def unwrap(pair, row, col):
+    """The position (row, col), row r + k read as row k shifted right by e."""
+    while row > pair.r:
+        row, col = row - pair.r, col - pair.e
+    return row, col
+
+
+def cols_by_scan(pair, low_row, high_row, low_bead, high_bead):
+    """The columns of a pair, over the witness constructions' former scan
+    window, where the (wrapped) low and high rows carry the given bead
+    states, read one column at a time."""
+    step = pair.e if is_finite(pair.e) else 1
+    lo, hi = pair.bounds()
     return [
         h
-        for h in range(model.lo + 1, model.hi)
-        if model.bead(low_row, h) == low_bead and model.bead(high_row, h) == high_bead
+        for h in range(lo - 2 * step - 1, hi + step + 1)
+        if pair.has_bead(*unwrap(pair, low_row, h)) == low_bead
+        and pair.has_bead(*unwrap(pair, high_row, h)) == high_bead
     ]
+
+
+def moved_by_scan(pair, *moves):
+    """The pair after each (src, dst) bead move in turn, row r + k read as
+    row k shifted right by e, or None if a source is empty or a target
+    occupied.  Every row's bead set is read column by column through
+    ``has_bead`` over a window that holds every move, and rebuilt from it."""
+    unwrapped = [unwrap(pair, *at) for move in moves for at in move]
+    lo = min([pair.bounds()[0]] + [col for _, col in unwrapped])
+    hi = max([pair.bounds()[1]] + [col for _, col in unwrapped]) + 1
+    rows = {row: {c for c in range(lo, hi) if pair.has_bead(row, c)} for row in range(1, pair.r + 1)}
+    for (sr, sc), (dr, dc) in zip(unwrapped[::2], unwrapped[1::2]):
+        if sc not in rows[sr] or dc in rows[dr]:
+            return None
+        rows[sr].remove(sc)
+        rows[dr].add(dc)
+    return pair_from_beads([(lo, rows[row]) for row in range(1, pair.r + 1)], pair.e)
 
 
 def row_diffs_by_scan(a, b, row):
@@ -369,12 +399,12 @@ def is_incomparable_witness_by_scan(a, b, k1, i1, k2, i2):
 def constructed_witness_four_seeds(member, core_pair, b):
     """The first witness the constructions build on the core, the member,
     the core's dual and the member's dual, in that order, with a fresh
-    scratch model per construction; the member lies in ``b`` over a
+    column memo per construction; the member lies in ``b`` over a
     normalized multicharge and ``core_pair`` is its core."""
     for idx, seed in enumerate([core_pair, member, dual(core_pair), dual(member)]):
         for build in _CONSTRUCTIONS:
             try:
-                built = build(_BeadRows(seed))
+                built = build(_RowPairCols(seed))
             except ValueError:
                 built = None
             if not built:

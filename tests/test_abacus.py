@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from akblocks.abacus import (
     AbacusPair,
+    _moved,
     dual,
     is_complete,
     n_right,
@@ -34,7 +35,7 @@ from akblocks.partitions import (
     residue_content,
     size,
 )
-from oracles import applicable_ops, is_complete_by_scan, subabacus_diff_by_scan
+from oracles import applicable_ops, is_complete_by_scan, moved_by_scan, subabacus_diff_by_scan, unwrap
 
 partitions_st = st.lists(st.integers(1, 8), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -432,3 +433,56 @@ def test_readers_ignore_charge_spread():
     # a second-kind move from the top row
     b = apply_op(a, ElementaryOp(2, s + 1, 0))
     assert b == AbacusPair(((s - 2, 3, 1), ()), (1, s - 1), 3)
+
+
+positions_st = st.tuples(st.integers(1, 8), st.integers(-8, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw_rows_st,
+    st.sampled_from((2, 3, 5, INFINITY)),
+    st.lists(st.tuples(positions_st, positions_st, st.sampled_from((True, True, False))), max_size=4),
+)
+def test_moved_matches_has_bead_rebuild(rows, e, draws):
+    """Each (src, dst) move in turn, rows above r wrapping down by e, gives
+    the pair that a column-by-column rebuild of the rows gives, and an
+    empty source or an occupied target raises.  A move drawn to fit has
+    its source slid down to a bead and its target up to a hole of the
+    pair the moves before it leave."""
+    a = AbacusPair(tuple(p for p, _ in rows), tuple(s for _, s in rows), e)
+    top = 2 * a.r if is_finite(e) else a.r
+    moves = []
+    for (r1, c1), (r2, c2), fit in draws:
+        src, dst = (r1 % top + 1, c1), (r2 % top + 1, c2)
+        b = moved_by_scan(a, *moves)
+        if fit and b is not None:
+            while not b.has_bead(*unwrap(b, *src)):
+                src = (src[0], src[1] - 1)
+            while b.has_bead(*unwrap(b, *dst)):
+                dst = (dst[0], dst[1] + 1)
+        moves.append((src, dst))
+    expected = moved_by_scan(a, *moves)
+    if expected is None:
+        with pytest.raises(ValueError):
+            _moved(a, *moves)
+    else:
+        assert _moved(a, *moves) == expected
+
+
+def test_moved_in_turn():
+    """A later move may refill a column that an earlier one vacated, or
+    move a bead an earlier one placed; each move checks its own source
+    and target."""
+    a = AbacusPair(((2, 1), (1,)), (0, 1), 3)  # rows: {<-2, 1, -1}, {<0, 1}
+    refill = ((1, 1), (2, 2)), ((1, -1), (1, 1))
+    assert _moved(a, *refill) == moved_by_scan(a, *refill) == AbacusPair(((3,), (1, 1)), (-1, 2), 3)
+    chain = ((1, 1), (2, 2)), ((2, 2), (2, 3)), ((2, 3), (3, 3))  # row 3 is row 1 shifted by 3
+    assert _moved(a, *chain) == moved_by_scan(a, *chain)
+    assert _moved(a, *chain).has_bead(1, 0)
+    for bad in ((((1, 0), (2, 2)),), (((1, 1), (2, 1)),), (((1, 1), (2, 2)), ((1, 1), (2, 3)))):
+        assert moved_by_scan(a, *bad) is None
+        with pytest.raises(ValueError, match="no bead at|occupied"):
+            _moved(a, *bad)
+    with pytest.raises(ValueError, match="row wrap needs finite e"):
+        _moved(AbacusPair(a.mp, a.charge, INFINITY), ((2, 1), (3, 1)))

@@ -13,7 +13,7 @@ from akblocks.blocks import block_id, defect, enumerate_block_members
 from akblocks.classify import (
     _CONSTRUCTIONS,
     DEFAULT_PAIR_BUDGET,
-    _BeadRows,
+    _RowPairCols,
     _cols_bead_over_empty,
     _cols_empty_under_bead,
     _transport_witness,
@@ -374,16 +374,17 @@ def test_construction_columns_match_column_scan():
             lengths = [rng.randrange(0, 4) for _ in range(r)]
             mp = tuple(tuple(sorted(rng.choices(range(1, 5), k=k), reverse=True)) for k in lengths)
             charge = tuple(rng.randrange(-3, 5) for _ in range(r))
-            model = _BeadRows(AbacusPair(mp, charge, e))
+            pair = AbacusPair(mp, charge, e)
+            cols = _RowPairCols(pair)
             # rows above r wrap down by e, as the constructions read them
             top = r + 2 if e != INFINITY else r
             for low in range(1, top + 1):
                 for high in range(low + 1, top + 1):
-                    assert _cols_bead_over_empty(model, low, high) == cols_by_scan(
-                        model, low, high, True, False
+                    assert _cols_bead_over_empty(cols, low, high) == cols_by_scan(
+                        pair, low, high, True, False
                     )
-                    assert _cols_empty_under_bead(model, low, high) == cols_by_scan(
-                        model, low, high, False, True
+                    assert _cols_empty_under_bead(cols, low, high) == cols_by_scan(
+                        pair, low, high, False, True
                     )
 
 
@@ -469,15 +470,14 @@ def test_constructions_never_fire_on_a_core_or_its_dual(e, rows):
     core_pair, _ = core_and_vector(AbacusPair(mp, charge, e))
     for seed in (core_pair, dual(core_pair)):
         assert is_complete(seed)
-        model = _BeadRows(seed)
+        cols = _RowPairCols(seed)
         for build in _CONSTRUCTIONS:
-            assert build(model) is None
+            assert build(cols) is None
 
 
 def test_construction_memo_matches_fresh_model_and_column_scan():
-    """All four constructions share one model: they leave its rows as a
-    fresh model's, and every memoized column list is the column scan's.
-    A copy starts with no memo, and a move clears it."""
+    """All four constructions share one column memo and leave its seed as
+    it was, and every memoized column list is the column scan's."""
     rng = random.Random(12)
     memoized = 0
     for e in (2, 3, 5, INFINITY):
@@ -488,27 +488,18 @@ def test_construction_memo_matches_fresh_model_and_column_scan():
                 for _ in range(r)
             )
             pair = AbacusPair(mp, tuple(rng.randrange(-3, 6) for _ in range(r)), e)
-            model = _BeadRows(pair)
+            cols = _RowPairCols(pair)
             for build in _CONSTRUCTIONS:
                 try:
-                    build(model)
+                    build(cols)
                 except ValueError:
                     pass
-            fresh = _BeadRows(pair)
-            assert model.rows == fresh.rows
-            assert model.cols
-            for (low, high), (up, down) in model.cols.items():
-                assert up == cols_by_scan(fresh, low, high, True, False)
-                assert down == cols_by_scan(fresh, low, high, False, True)
+            assert cols.seed is pair and pair._beadsets == AbacusPair(mp, pair.charge, e)._beadsets
+            assert cols
+            for (low, high), (up, down) in cols.items():
+                assert up == cols_by_scan(pair, low, high, True, False)
+                assert down == cols_by_scan(pair, low, high, False, True)
                 memoized += 1
-            assert model.copy().cols == {}
-            up = _cols_bead_over_empty(model, 1, 2)
-            if up:
-                moved = model.copy().move((1, up[0]), (2, up[0]))
-                assert _cols_bead_over_empty(moved, 1, 2) == up[1:]
-                moved.move((2, up[0]), (1, up[0]))
-                assert moved.cols == {}
-                assert _cols_bead_over_empty(moved, 1, 2) == up
     assert memoized > 500
 
 

@@ -136,6 +136,29 @@ def test_render_modes(capsys):
     assert doc["rows"]
 
 
+def test_render_window_counts_against_the_budget(capsys, monkeypatch):
+    """A window of r x (hi - lo + 1) cells is refused before any row is
+    drawn when it exceeds ABACUS_BUDGET; the README pair's default window
+    (-3, 5) has 3 x 9 = 27 cells."""
+    monkeypatch.setenv("ABACUS_BUDGET", "27")
+    doc = run_json(capsys, "render", json.dumps(PAIR41))
+    assert doc["window"] == [-3, 5] and len(doc["rows"]) == 3
+    monkeypatch.setenv("ABACUS_BUDGET", "26")
+    code, out, err = run(capsys, "render", json.dumps(PAIR41))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "budget", "detail": "render window of 27 cells exceeds budget 26"}
+    monkeypatch.setenv("ABACUS_BUDGET", "10")
+    job = json.dumps({"e": 3, "multicharge": [0, 1], "multipartition": [[2], [1]]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "render", job, "--window", "0", str(10**6))
+    assert code == 3 and out == ""
+    assert json.loads(err)["detail"] == "render window of 2000002 cells exceeds budget 10"
+    monkeypatch.delenv("ABACUS_BUDGET")
+    code, out, err = run(capsys, "render", job, "--window", "0", str(10**7))
+    assert code == 3 and out == "" and time.perf_counter() - start < 0.5
+    assert json.loads(err)["detail"] == "render window of 20000002 cells exceeds budget 10000000"
+
+
 def test_exit_codes(capsys):
     code, out, err = run(capsys, "defect", "not json")
     assert code == 2 and json.loads(err)["error"] == "parse"

@@ -42,8 +42,8 @@ MV_JOB = json.dumps(dict(PAIR, target_multicharge=[0, 1, 2], target_multipartiti
 WEIGHT_ONE = json.dumps({"e": 2, "multicharge": [0], "multipartition": [[2]]})
 BASE = {"abacus", "partitions", "cli"}
 MOVES = BASE | {"moves"}
-BLOCKS = MOVES | {"blocks"}
-CLASSIFY = BLOCKS | {"classify"}
+BLOCKS = BASE | {"blocks"}
+CLASSIFY = MOVES | {"blocks", "classify"}
 # argv -> the akblocks submodules loaded once main returns
 LOADS = {
     "dual": (["dual", JOB], BASE),
