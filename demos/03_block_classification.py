@@ -31,9 +31,10 @@ for mp in (((1,), (), (), (), (), ()), ((), (), (), (1,), (), ())):
     print(f", K[x]/(x^{rep.detail_degree})" if rep.detail_kind == "truncated_polynomial" else "")
 lam = AbacusPair(((1,), (), (), (), (), ()), s, e)
 mu = AbacusPair(((), (), (), (1,), (), ()), s, e)
-orbit = orbit_reachable(block_id(lam), block_id(mu), 20)
-print(f"reflection search between the two blocks: found={orbit.found} within depth {orbit.depth}")
-print("(same structure, but no reflection word of length <= 20 connects them)")
+orbit = orbit_reachable(block_id(lam), block_id(mu), 0)
+print(f"one affine Weyl orbit: {orbit.found}")
+print("(same structure, yet the two blocks lie in different orbits: their weights")
+print(" reduce to different dominant weights, so no reflection word connects them)")
 print()
 
 print("== an infinite block with an incomparability witness ==")

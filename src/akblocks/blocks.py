@@ -1,16 +1,17 @@
-"""Block identity, defect, Weyl-group action, and block-member enumeration.
+"""Block identity, defect, affine Weyl orbits, and block-member enumeration.
 
 A block of the algebra attached to (e, multicharge) is named by its
 residue-content vector: two pairs with the same multicharge lie in one
 block exactly when their residue contents agree.  The content vector is
 the positive-root-lattice element beta written in the simple-root basis,
 and the multicharge induces the dominant weight Lambda; the defect
-(Lambda, beta) - (beta, beta)/2 is the block's weight.
+(Lambda, beta) - (beta, beta)/2 is the block's weight.  Two blocks share
+a Weyl orbit exactly when their weights Lambda - beta reduce to the same
+dominant one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, product
 from operator import add, getitem, gt, sub
 from typing import NamedTuple
@@ -174,7 +175,7 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     of r-multipartitions of n.  The budget still gates on p_r(n):
     :class:`BudgetExceeded` is raised when that estimate exceeds it.
     """
-    from .moves import _core_pair, _sub_levels, _vector_from_charges
+    from .moves import _core_counts, _core_pair, _vector_from_charges
 
     r = len(b.charge)
     _check_budget(b.n, r, budget)
@@ -195,8 +196,8 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     if content and not is_finite(e):
         lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
     tops = {
-        f: t_base + len(levels) + content.get(f, 0) - content.get(residue(f + 1, e), 0)
-        for f, (t_base, levels) in _sub_levels(empty, range(lo, hi)).items()
+        f: top + content.get(f, 0) - content.get(residue(f + 1, e), 0)
+        for f, top in _core_counts(empty, range(lo, hi))[0].items()
     }
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
         return []
@@ -319,64 +320,56 @@ class _RowComponents(dict):
 
 
 class OrbitResult(NamedTuple):
-    """Outcome of the bounded orbit search: a word, or exhaustion at depth."""
+    """Outcome of the orbit test: a reflection word, or None."""
 
     found: bool
     word: tuple | None
     depth: int
 
 
-def _reflection_indices(k: dict, c: dict, e):
-    if is_finite(e):
-        return range(e)
-    support = set(k) | set(c)
-    if not support:
-        return []
-    return range(min(support) - 1, max(support) + 2)
+def _dominant(k: dict, content, e) -> tuple:
+    """(dominant content, word): while some j has (alpha_j, Lambda - beta)
+    < 0, reflect the smallest, adding that pairing to c_j.  It can be
+    negative only where c_j > 0, and each step lowers n, so at most n
+    steps scan the support.  Every weight of the module lies below
+    Lambda, so a negative count raises ValueError."""
+    c = dict(content)
+    word = []
+    while True:
+        if any(v < 0 or residue(j, e) != j for j, v in c.items()):
+            raise ValueError(f"content {content} is not a weight of the block's module")
+        for j in sorted(c):
+            m = _pairing(k, c, j, e)
+            if m < 0:
+                c[j] += m
+                word.append(j)
+                break
+        else:
+            return tuple(sorted((j, v) for j, v in c.items() if v)), word
 
 
 def orbit_reachable(b1: BlockId, b2: BlockId, depth: int) -> OrbitResult:
-    """Bounded breadth-first search for a reflection word from b1 to b2.
+    """Whether b1 and b2 share an affine Weyl orbit, with a word from b1 to b2.
 
-    States are content vectors; each reflection sends beta to
-    beta + (alpha_j, Lambda - beta) alpha_j.  A negative answer only
-    means no word of length at most ``depth`` exists.  For infinite e
-    the reflection indices are restricted, per state, to the support of
-    the dominant weight and the content widened by one slot on each
-    side; reflections outside that window act trivially.
+    A reflection sends beta to beta + (alpha_j, Lambda - beta) alpha_j.
+    Each W-orbit of the weights Lambda - beta holds exactly one dominant
+    weight (Kac, Infinite Dimensional Lie Algebras, Prop. 3.12), so
+    reducing both blocks to it gives an exact answer.  The word, the
+    first reduction then the second reversed, less their common suffix,
+    is valid but not always shortest.  ``depth`` no longer bounds the
+    search; it is echoed.
     """
     if b1.e != b2.e:
         raise ValueError("blocks must share the quantum characteristic")
-    k1 = weight_multiplicities(b1.charge, b1.e)
-    k2 = weight_multiplicities(b2.charge, b2.e)
-    if k1 != k2:
+    k = weight_multiplicities(b1.charge, b1.e)
+    if k != weight_multiplicities(b2.charge, b2.e):
         raise ValueError("blocks must induce the same dominant weight")
-    e = b1.e
-    start = b1.content
-    target = b2.content
-    if start == target:
-        return OrbitResult(True, (), depth)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        state, word = queue.popleft()
-        if len(word) >= depth:
-            continue
-        c = dict(state)
-        for j in _reflection_indices(k1, c, e):
-            mj = _pairing(k1, c, j, e)
-            if mj == 0:
-                continue
-            nxt = dict(c)
-            nxt[residue(j, e)] = nxt.get(residue(j, e), 0) + mj
-            if nxt[residue(j, e)] == 0:
-                del nxt[residue(j, e)]
-            key = tuple(sorted(nxt.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            nw = word + (residue(j, e),)
-            if key == target:
-                return OrbitResult(True, nw, depth)
-            queue.append((key, nw))
-    return OrbitResult(False, None, depth)
+    top1, word1 = _dominant(k, b1.content, b1.e)
+    top2, word2 = _dominant(k, b2.content, b2.e)
+    if top1 != top2:
+        return OrbitResult(False, None, depth)
+    # equal last letters reach the dominant weight from the same weight
+    while word1 and word2 and word1[-1] == word2[-1]:
+        word1.pop()
+        word2.pop()
+    return OrbitResult(True, tuple(word1 + word2[::-1]), depth)

@@ -10,6 +10,7 @@ combinatorial shadow used to cross-check finite-type classifications.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .partitions import Frozen
@@ -133,7 +134,7 @@ def multiplication_poset(line: BrauerLine) -> tuple:
     """
     chain, _ = cell_chains(line)
     tops = [c.top for c in chain]
-    total = {t: tops.count(t) for t in set(tops)}
+    total = Counter(tops)
     seen: dict = {}
     entries = []
     for t in tops:

@@ -10,7 +10,7 @@ Results go to stdout as JSON by default (``--tsv`` and ``--ascii`` are
 the alternates), diagnostics to stderr as one JSON object per line.
 Exit codes: 0 success, 2 parse/validation error, 3 budget exhaustion
 (``ABACUS_BUDGET`` bounds enumerations, operation sets and the cells of
-a ``render`` window).
+a ``render`` window or a ``brauer-line`` cell chain).
 
 Start-up.  A process runs one job and spends most of its time loading
 code, so this module imports only ``abacus`` and ``partitions`` up front
@@ -395,11 +395,11 @@ def _cmd_derived_class(job, args):
 
 
 def _cmd_brauer_line(job, args):
-    if not args.line_params:
+    if not 1 <= len(args.line_params) <= 3:
         raise JobError("brauer-line needs N [V M] positional parameters")
-    params = args.line_params + [1, 1][len(args.line_params) - 1 :]
     from . import brauer
-    line = brauer.BrauerLine(*params[:3])
+    line = brauer.BrauerLine(*args.line_params)
+    _check_size(line.edges + line.multiplicity, "cell chain of {} cells")
     t1, t2 = brauer.cell_chains(line)
 
     def chain_json(chain):

@@ -22,16 +22,25 @@ constructions on four seeds: the core, the member and both their duals,
 each read into its own fresh column memo for every construction.  The
 bead move that the constructions and ``apply_op`` share is checked
 against a rebuild of every row's bead set, read column by column.
+Affine Weyl orbits are checked against the breadth-first search over
+content vectors that preceded the dominant reduction, which shares only
+the pairing (alpha_j, Lambda - beta) with it.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from akblocks.abacus import AbacusPair, dual, pair_from_beads
 from akblocks.classify import _CONSTRUCTIONS, _dual_coords, _RowPairCols, _witness_from
 from akblocks.moves import ElementaryOp, apply_op, core
-from akblocks.blocks import BlockId, CartanData, weight_multiplicities
+from akblocks.blocks import (
+    BlockId,
+    CartanData,
+    OrbitResult,
+    _pairing,
+    weight_multiplicities,
+)
 from akblocks.partitions import (
     INFINITY,
     DominanceRel,
@@ -416,3 +425,59 @@ def constructed_witness_four_seeds(member, core_pair, b):
             if witness:
                 return witness
     return None
+
+
+def _reflection_indices(k: dict, c: dict, e):
+    if is_finite(e):
+        return range(e)
+    support = set(k) | set(c)
+    if not support:
+        return []
+    return range(min(support) - 1, max(support) + 2)
+
+
+def orbit_reachable_by_bfs(b1: BlockId, b2: BlockId, depth: int) -> OrbitResult:
+    """Bounded breadth-first search for a reflection word from b1 to b2.
+
+    States are content vectors; each reflection sends beta to
+    beta + (alpha_j, Lambda - beta) alpha_j.  A negative answer only
+    means no word of length at most ``depth`` exists.  For infinite e
+    the reflection indices are restricted, per state, to the support of
+    the dominant weight and the content widened by one slot on each
+    side; reflections outside that window act trivially.
+    """
+    if b1.e != b2.e:
+        raise ValueError("blocks must share the quantum characteristic")
+    k1 = weight_multiplicities(b1.charge, b1.e)
+    k2 = weight_multiplicities(b2.charge, b2.e)
+    if k1 != k2:
+        raise ValueError("blocks must induce the same dominant weight")
+    e = b1.e
+    start = b1.content
+    target = b2.content
+    if start == target:
+        return OrbitResult(True, (), depth)
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        state, word = queue.popleft()
+        if len(word) >= depth:
+            continue
+        c = dict(state)
+        for j in _reflection_indices(k1, c, e):
+            mj = _pairing(k1, c, j, e)
+            if mj == 0:
+                continue
+            nxt = dict(c)
+            nxt[residue(j, e)] = nxt.get(residue(j, e), 0) + mj
+            if nxt[residue(j, e)] == 0:
+                del nxt[residue(j, e)]
+            key = tuple(sorted(nxt.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            nw = word + (residue(j, e),)
+            if key == target:
+                return OrbitResult(True, nw, depth)
+            queue.append((key, nw))
+    return OrbitResult(False, None, depth)

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -8,15 +10,17 @@ from akblocks.blocks import (
     BudgetExceeded,
     CartanData,
     _check_budget,
+    _pairing,
     alpha_pairing,
     block_id,
     defect,
     enumerate_block_members,
     normalize_multicharge,
     orbit_reachable,
+    weight_multiplicities,
     weyl_sigma,
 )
-from akblocks.classify import block_moving_vector
+from akblocks.classify import block_moving_vector, derived_equivalent_weight1
 from akblocks.moves import core
 from akblocks.partitions import INFINITY, count_multipartitions, in_A, permute, permute_charge
 from oracles import (
@@ -24,6 +28,7 @@ from oracles import (
     block_members_by_filter,
     blocks_by_filter,
     defect_pairwise,
+    orbit_reachable_by_bfs,
     tally_residues,
 )
 
@@ -258,6 +263,84 @@ def test_orbit_separation_same_weight_blocks():
         for j in range(i + 1, 3):
             res = orbit_reachable(bids[i], bids[j], 20)
             assert not res.found and res.depth == 20
+
+
+def apply_word(b, word):
+    """The content reached from b's by reflecting the residues of word in
+    turn, each through the pairing (alpha_j, Lambda - beta)."""
+    k, c = weight_multiplicities(b.charge, b.e), b.content_dict()
+    for j in word:
+        c[j] = c.get(j, 0) + _pairing(k, c, j, b.e)
+    return tuple(sorted((j, v) for j, v in c.items() if v))
+
+
+def test_orbit_reachable_agrees_with_bfs():
+    """Dominant reduction against the bounded BFS at depth 8 on a seeded
+    sample of same-weight block pairs with n <= 5: a BFS word implies
+    `found`, a negative answer implies no BFS word, and every word of the
+    reduction maps b1's content to b2's."""
+    rng = random.Random(14)
+    pairs = []
+    for e, s in [(2, (0, 0, 1)), (3, (0, 1, 1)), (INFINITY, (0, 1, 2)), (3, (0, 0, 2, 2))]:
+        bids = [b for n in range(6) for b in blocks_by_filter(e, s, n)]
+        every = list(combinations(bids, 2))
+        pairs += rng.sample(every, min(len(every), 120))
+    found = 0
+    for b1, b2 in pairs:
+        exact = orbit_reachable(b1, b2, 8)
+        bfs = orbit_reachable_by_bfs(b1, b2, 8)
+        assert exact.depth == 8
+        assert exact.found or not bfs.found, (b1, b2)  # a BFS word implies found
+        if exact.found:
+            found += 1
+            assert apply_word(b1, exact.word) == b2.content, (b1, b2, exact.word)
+        else:
+            assert exact.word is None
+    assert found > 50
+
+
+def test_orbit_reachable_rejects_a_content_that_is_not_a_weight():
+    # c_1 = 5 over Lambda = 3 Lambda_0 at e = 2: the first reflection sends c_1 to -5
+    bad = BlockId(2, (0, 0, 0), ((1, 5),), 5)
+    good = block_id(AbacusPair(((1,), (), ()), (0, 0, 0), 2))
+    for b1, b2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="not a weight"):
+            orbit_reachable(b1, b2, 5)
+    with pytest.raises(ValueError, match="not a weight"):
+        orbit_reachable(BlockId(2, (0, 0, 0), ((0, -1),), -1), good, 5)
+
+
+def test_orbit_reachable_is_free_of_the_charge_spread():
+    s = (0, 10**5)
+    b1 = block_id(AbacusPair(((2, 1), ()), s, INFINITY))
+    b2 = block_id(AbacusPair(((), (1,)), s, INFINITY))
+    start = time.perf_counter()
+    res = orbit_reachable(b1, b2, 4)
+    assert time.perf_counter() - start < 0.01
+    assert res.found and res.depth == 4
+    assert apply_word(b1, res.word) == b2.content
+
+
+def test_paper_applications_at_one_multicharge():
+    """Both contrasts of the paper among the blocks of n <= 4 at e = 4,
+    charge (0, 1, 2): weight-one blocks of one weight that are not derived
+    equivalent, and derived-equivalent weight-one blocks (Brauer lines of
+    one edge count, Rickard) in different affine Weyl orbits.  A shared
+    orbit implies derived equivalence (Chuang-Rouquier), checked too."""
+    e, s = 4, (0, 1, 2)
+    weight1 = [b for n in range(5) for b in blocks_by_filter(e, s, n) if defect(b) == 1]
+    not_derived, other_orbit = [], []
+    for b1, b2 in combinations(weight1, 2):
+        derived = derived_equivalent_weight1(b1, b2)
+        orbit = orbit_reachable(b1, b2, 0)
+        assert derived or not orbit.found, (b1, b2)
+        if not derived:
+            not_derived.append((b1.content, b2.content))
+        elif not orbit.found:
+            other_orbit.append((b1.content, b2.content))
+    print("same weight, not derived equivalent:", not_derived[0])
+    print("derived equivalent, different orbits:", other_orbit[0])
+    assert not_derived and other_orbit
 
 
 def test_defect_invariant_under_reflection_words():

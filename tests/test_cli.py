@@ -128,6 +128,27 @@ def test_brauer_line(capsys):
     assert flagged == [1, 2, 3, 4]
 
 
+def test_brauer_line_counts_its_cells_against_the_budget(capsys, monkeypatch):
+    """N edges at multiplicity M chain N + M cells, refused over
+    ABACUS_BUDGET before any is built; a fourth parameter is an extra
+    argument, and the poset counts repeated labels in one pass."""
+    monkeypatch.setenv("ABACUS_BUDGET", "10")
+    assert len(run_json(capsys, "brauer-line", "8", "1", "2")["type_i"]) == 10
+    code, out, err = run(capsys, "brauer-line", "9", "1", "2")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "budget", "detail": "cell chain of 11 cells exceeds budget 10"}
+    monkeypatch.delenv("ABACUS_BUDGET")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "brauer-line", str(10**9))
+    assert code == 3 and out == "" and time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "brauer-line", "4", "3", "3", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"] == "brauer-line needs N [V M] positional parameters"
+    start = time.perf_counter()
+    assert len(run_json(capsys, "brauer-line", "20000")["poset"]) == 20001
+    assert time.perf_counter() - start < 3
+
+
 def test_render_modes(capsys):
     job = {"e": 2, "multicharge": [0], "multipartition": [[]]}
     code, out, err = run(capsys, "render", json.dumps(job), "--window", "-2", "1", "--ascii")

@@ -1,6 +1,7 @@
-"""Fuzzed CLI contract for ``core``, ``mv``, ``enumerate``, ``classify``,
-``schur-classify``, ``witness``, ``block-id``, ``defect``, ``dual``,
-``uglov``, ``sigma`` and ``rotate``.
+"""Fuzzed CLI contract for all fifteen commands: ``core``, ``mv``,
+``enumerate``, ``classify``, ``schur-classify``, ``witness``,
+``block-id``, ``defect``, ``dual``, ``uglov``, ``sigma``, ``rotate``,
+``derived-class``, ``brauer-line`` and ``render``.
 
 Every job, valid or not, ends in exit 0 with a schema-valid document on
 stdout, or in exit 2 or 3 with nothing on stdout; stderr carries only
@@ -19,7 +20,11 @@ reader scans every column of the display, so one such job takes seconds
 moves or candidates admits jobs that run for minutes.  ``uglov`` prints
 its one-runner image, whose partition has about as many parts as the
 spread, so its jobs are the slowest finite-e ones (about 1.5 s at 10^6).
-``sigma`` and ``rotate`` take a drawn integer before the job JSON.
+``sigma`` and ``rotate`` take a drawn integer before the job JSON;
+``brauer-line`` takes one to four drawn integers (N [V M], so four are
+an extra argument) and no job, and ``render`` may take a drawn
+``--window``.  ``derived-class`` refuses every block of weight other
+than one, so the examples include weight-one jobs.
 """
 
 import contextlib
@@ -72,8 +77,13 @@ COMMANDS = [
     "uglov",
     "sigma",
     "rotate",
+    "derived-class",
+    "brauer-line",
+    "render",
 ]
 PARAM = st.sampled_from(["0", "1", "2", "-1", "4", str(10**9), "x"])
+LINE_PARAM = st.sampled_from(["1", "2", "3", "7", "0", "-1", "30000", str(10**9), "x"])
+WINDOW_END = st.sampled_from(["-3", "0", "2", "9", "-" + str(10**9), str(10**9)])
 
 
 def broken_command_line(draw, argv):
@@ -91,6 +101,8 @@ def broken_command_line(draw, argv):
         return argv + ["--window", draw(st.sampled_from(["1", "a"]))]
     if fault == "missing":
         return draw(st.sampled_from([[], [argv[0]]]))
+    if argv[0] == "brauer-line":  # past N V M
+        return argv + ["1"] * 3
     return argv + [argv[1]]
 
 
@@ -142,6 +154,10 @@ def jobs(draw):
     argv = [command, json.dumps(job) if text is None else text]
     if command in ("sigma", "rotate"):
         argv.insert(1, draw(PARAM))
+    elif command == "brauer-line":
+        argv[1:] = draw(st.lists(LINE_PARAM, min_size=1, max_size=4))
+    elif command == "render" and draw(st.booleans()):
+        argv += ["--window", draw(WINDOW_END), draw(WINDOW_END)]
     if command == "enumerate" or draw(st.booleans()):
         argv += ["--n", str(n)]
     if flavour == "argv":
@@ -164,9 +180,10 @@ def run_in_process(argv, budget):
 
 
 SPREAD_1E6 = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[3, 1], [2]]}
+WEIGHT_ONE = {"e": 4, "multicharge": [0, 1, 2], "multipartition": [[], [1], [1]]}
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 @example((["core", json.dumps(SPREAD_1E6)], "100000", False))
 @example((["enumerate", json.dumps(SPREAD_1E6), "--n", str(10**9)], "100000", False))
@@ -177,6 +194,13 @@ SPREAD_1E6 = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[3, 1], [2]]
 @example((["block-id", json.dumps(SPREAD_1E6)], "100000", False))
 @example((["uglov", json.dumps(SPREAD_1E6)], "100000", False))
 @example((["sigma", "1", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["derived-class", json.dumps(WEIGHT_ONE)], "100000", False))
+@example((["derived-class", json.dumps(dict(WEIGHT_ONE, e="inf"))], "100000", False))
+@example((["render", json.dumps(SPREAD_1E6)], "100000", False))
+@example((["render", json.dumps(WEIGHT_ONE), "--window", "-3", "9"], "100000", False))
+@example((["brauer-line", "30000", "7", "3"], "100000", False))
+@example((["brauer-line", str(10**9)], "100000", False))
+@example((["brauer-line", "4", "3", "3", "1"], "100000", True))
 def test_cli_contract(case):
     argv, budget, rejected = case
     start = time.perf_counter()
