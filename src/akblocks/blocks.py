@@ -175,6 +175,13 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     of r-multipartitions of n.  The budget still gates on p_r(n):
     :class:`BudgetExceeded` is raised when that estimate exceeds it.
     """
+    return sorted(_member_stream(b, budget))
+
+
+def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """The members of :func:`enumerate_block_members`, unsorted, each
+    yielded as it is built; the budget gate runs at the first ``next()``,
+    before any lift table is built."""
     from .moves import _core_counts, _core_pair, _vector_from_charges
 
     r = len(b.charge)
@@ -184,7 +191,7 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     if sum(content.values()) != b.n or any(
         v <= 0 or not isinstance(f, int) or residue(f, e) != f for f, v in content.items()
     ):
-        return []
+        return
     charge, sigma = normalize_multicharge(b.charge, e)
     w = defect(b)
     # a core fills each subabacus below its base plus its bead count, and adding
@@ -200,11 +207,11 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
         for f, top in _core_counts(empty, range(lo, hi))[0].items()
     }
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
-        return []
+        return
     core = _core_pair(tops, lo, e, r)
     mv = _vector_from_charges(charge, core.charge, w, e)
     if mv is None:
-        return []
+        return
     # members list their rows in the block's own slot order
     place = [x - 1 for x in sigma]
     # with infinite e a full or empty column cannot move
@@ -214,13 +221,10 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     rows_by_slot = [None] * r
     for x, (floor, extras) in zip(place, core._beadsets):
         rows_by_slot[x] = _RowComponents(floor, extras)
-    members = []
     for groups in _tally_combinations(tables, mv):
         for pick in product(*groups):
             changes = zip(*pick) if pick else [()] * r  # per row; empty when nothing moves
-            members.append(tuple(map(getitem, rows_by_slot, changes)))
-    members.sort()
-    return members
+            yield tuple(map(getitem, rows_by_slot, changes))
 
 
 def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:

@@ -16,10 +16,11 @@ row r + 1 read as row 1 shifted by e, or any later row for
 ``construct_four_rows_one_column``).  In a complete abacus, such as the
 block's core, each row's beads lie in the next row's, so it has no bead
 over a hole, and neither has its dual.  The seeds are therefore the
-member and then, only if it yields nothing, its dual.  The four
-constructions share one memo of each seed's row-pair column lists, read
-from the rows' (floor, extras), and build their pairs from the seed
-with :func:`akblocks.abacus._moved`, the library's one bead move.
+member, then its dual, and only if both yield nothing the block's other
+members, as its member stream builds them; the pairwise scan of every
+member is the last step.  The four constructions share one memo of each
+seed's row-pair column lists, read from the rows' (floor, extras), and
+build their pairs with :func:`akblocks.abacus._moved`, the one bead move.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
     BudgetExceeded,
+    _member_stream,
     block_id,
     defect,
-    enumerate_block_members,
     normalize_multicharge,
 )
 from .moves import _core_counts, core_and_vector
@@ -426,35 +427,42 @@ def find_incomparable_pair(
 ):
     """Search the block for an incomparable pair of abaci.
 
-    Pattern constructions run first, on a member (a known one may be
-    passed in to avoid enumeration) and then on its dual.  They need a
-    bead over a hole, which a complete abacus never has, so the block's
-    core is not a seed.  An exhaustive pairwise scan of the enumerated
-    members (capped at ``pair_budget`` comparisons) is the fallback.
-    Returns None when both strategies exhaust; for blocks whose member
-    set is totally ordered no witness exists at all.
-    """
-    members = None
+    Pattern constructions run on a member (the given one, else the first
+    the block's member stream builds), then on its dual, then on each
+    other member in stream order.  They need a bead over a hole, which a
+    complete abacus never has, so the block's core is not a seed.  An
+    exhaustive pairwise scan of the members (capped at ``pair_budget``
+    comparisons) is the last step.  Returns None when both strategies
+    exhaust; for blocks whose member set is totally ordered no witness
+    exists at all."""
+    stream = None
     if member is None:
-        members = enumerate_block_members(b, budget=enumeration_budget)
-        if not members:
+        stream = _member_stream(b, enumeration_budget)
+        member = next(stream, None)
+        if member is None:
             return None
-        member = members[0]
+        stream = chain((member,), stream)
     seed = AbacusPair(member, b.charge, b.e)
     if block_id(seed) != b:
         raise ValueError("the given member does not lie in the block")
-    return _witness_search(seed, b, pair_budget, enumeration_budget, members)
+    return _witness_search(seed, b, pair_budget, enumeration_budget, stream)
 
 
-def _witness_search(seed: AbacusPair, b: BlockId, pair_budget: int, enumeration_budget: int, members=None):
-    """The constructions on a member ``seed`` of ``b``, then the scan over
-    the block's members (enumerated unless given)."""
+def _witness_search(seed: AbacusPair, b: BlockId, pair_budget: int, enumeration_budget: int, stream=None):
+    """The constructions on a member ``seed`` of ``b`` and its dual, then
+    on each other member of the block's stream (opened only now, unless
+    given), then the scan over every member read, sorted."""
     witness = _witness_by_construction(seed, b)
     if witness:
         return witness
-    if members is None:
-        members = enumerate_block_members(b, budget=enumeration_budget)
-    return _witness_by_scan(members, b.charge, b, pair_budget)
+    members = []
+    for mp in _member_stream(b, enumeration_budget) if stream is None else stream:
+        members.append(mp)
+        if mp != seed.mp:
+            witness = _witness_by_construction(AbacusPair._of(mp, b.charge, b.e), b)
+            if witness:
+                return witness
+    return _witness_by_scan(sorted(members), b.charge, b, pair_budget)
 
 
 def block_moving_vector(p: AbacusPair):
@@ -576,7 +584,7 @@ def subabacus_moving_vector(
     """
     charge = check_integers(b.charge, "multicharge")
     counts: dict = {}
-    for mp in enumerate_block_members(b, budget=enumeration_budget):
+    for mp in _member_stream(b, enumeration_budget):
         for c, moves in _core_counts(AbacusPair._of(mp, charge, b.e))[1].items():
             counts[c] = counts.get(c, 0) + moves
     return {k: v for k, v in sorted(counts.items()) if v}

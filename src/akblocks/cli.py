@@ -521,6 +521,9 @@ def _diag(code: str, message: str):
 
 def _split_args(args) -> dict:
     """Distribute the raw positionals into param / line_params / job text."""
+    for flag, only in (("n", "enumerate"), ("window", "render")):
+        if getattr(args, flag) is not None and args.command != only:
+            raise JobError(f"--{flag} applies only to {only}, not {args.command}")
     raw = list(args.args)
     args.param = None
     args.line_params = []

@@ -10,6 +10,7 @@ from akblocks.blocks import (
     BudgetExceeded,
     CartanData,
     _check_budget,
+    _member_stream,
     _pairing,
     alpha_pairing,
     block_id,
@@ -188,6 +189,34 @@ def test_enumerate_block_members_match_filter_on_grid():
                         if e != INFINITY:
                             moved = BlockId(e, _shifted(charge, e), bid.content, n)
                             assert enumerate_block_members(moved) == members
+
+
+def _assert_stream_matches_filter(bid):
+    """The member stream yields each member once, and sorted it is the
+    filter's member list."""
+    streamed = list(_member_stream(bid))
+    assert len(set(streamed)) == len(streamed), bid
+    assert sorted(streamed) == block_members_by_filter(bid), bid
+
+
+def test_member_stream_matches_filter_on_sweep(desk_sweep):
+    blocks = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        for bid in grouped:
+            _assert_stream_matches_filter(bid)
+            blocks += 1
+    assert blocks == 2577
+
+
+def test_member_stream_matches_filter_on_grid():
+    for e in (2, 4, 5, INFINITY):
+        for r, charges in GRID_CHARGES.items():
+            for charge in charges:
+                for n in range(9 if r < 5 else 7):
+                    for bid in blocks_by_filter(e, charge, n):
+                        _assert_stream_matches_filter(bid)
 
 
 def test_enumerate_block_members_unreachable_content():

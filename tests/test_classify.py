@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from akblocks import moves
 from akblocks.abacus import AbacusPair, dual, is_complete
-from akblocks.blocks import block_id, defect, enumerate_block_members
+from akblocks.blocks import _lifts, _member_stream, block_id, defect, enumerate_block_members
 from akblocks.classify import (
     _CONSTRUCTIONS,
     DEFAULT_PAIR_BUDGET,
@@ -31,6 +31,7 @@ from akblocks.classify import (
 from akblocks.moves import core_and_vector
 from akblocks.partitions import (
     INFINITY,
+    BudgetExceeded,
     DominanceRel,
     dominance_compare,
     count_standard_tableaux,
@@ -201,8 +202,9 @@ def test_repr_type_infinite_attaches_witness_when_it_exists():
 
 def test_repr_type_witness_search_reuses_its_core(monkeypatch):
     """repr_type finds the witness find_incomparable_pair finds over the
-    normalized pair, by construction (LAM332) or by the member scan (the
-    second pair), and computes the pair's core once, from bead counts:
+    normalized pair, by construction on the pair (LAM332) or on the first
+    member of the block's stream (the second pair, which with its dual
+    yields nothing), and computes the pair's core once, from bead counts:
     no bead path is listed.  The spy counts the pairs passed, so the
     empty multipartition whose tops the member scan reads is no core."""
     for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (2,)), (0, 0, 1), 2)):
@@ -389,12 +391,33 @@ def test_construction_columns_match_column_scan():
                     )
 
 
-def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep):
-    """Every sweep block, seeded with its first member in sorted order (the
-    order enumerate_block_members lists and the scan reads): repr_type and
-    find_incomparable_pair, with and without the member, return the witness
-    of the four-seed constructions or else of the member scan."""
-    blocks = witnessed = 0
+def _assert_valid_witness(w, bid):
+    """Both abaci lie in ``bid``, the coordinates pass the checker and the
+    permuted pair is dominance-incomparable."""
+    pa = AbacusPair(w.mu, w.charge, bid.e)
+    pb = AbacusPair(w.nu, w.charge, bid.e)
+    assert block_id(pa) == bid == block_id(pb)
+    assert is_incomparable_witness(pa, pb, *w.coords)
+    assert dominance_compare(permute(w.mu, w.sigma), permute(w.nu, w.sigma)) is DominanceRel.INCOMPARABLE
+
+
+def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep, monkeypatch):
+    """Every sweep block, seeded with its first member in sorted order.
+    Where the four-seed constructions on that member settle the block,
+    repr_type and find_incomparable_pair with the member return their
+    witness, and find_incomparable_pair without a member returns the one
+    they build on the stream's first member, if they build one there.
+    Everywhere, each call's witness is valid, and one is found exactly
+    when the pairwise scan over all members finds one.  Inside repr_type
+    the scan runs for criterion 12's seven blocks alone: infinite type,
+    no witness, all-ones moving vector over a constant multicharge."""
+    reached = []
+    monkeypatch.setattr(
+        "akblocks.classify._witness_by_scan",
+        lambda members, charge, b, budget: reached.append(b) or _witness_by_scan(members, charge, b, budget),
+    )
+    blocks = witnessed = settled = 0
+    scanned_by_repr_type, witness_free = set(), set()
     for key, grouped in desk_sweep.items():
         if key == "elapsed":
             continue
@@ -403,17 +426,40 @@ def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep):
             members = sorted(mp for mp, *_ in entries)
             seed = AbacusPair(members[0], charge, e)
             core_pair = entries[0][1]
-            expected = constructed_witness_four_seeds(seed, core_pair, bid) or _witness_by_scan(
-                members, charge, bid, DEFAULT_PAIR_BUDGET
-            )
+            found = _witness_by_scan(members, charge, bid, DEFAULT_PAIR_BUDGET) is not None
+            reached.clear()
             rep = repr_type(seed)
+            if reached:
+                scanned_by_repr_type.add(bid)
             assert rep.sigma == tuple(range(1, r + 1))
-            assert rep.witness == (expected if rep.verdict == "infinite" else None)
-            assert find_incomparable_pair(bid, member=seed.mp) == expected
-            assert find_incomparable_pair(bid) == expected
+            by_member = find_incomparable_pair(bid, member=seed.mp)
+            by_stream = find_incomparable_pair(bid)
+            calls = [by_member, by_stream]
+            if rep.verdict == "infinite":
+                calls.append(rep.witness)
+                if not found:
+                    witness_free.add(bid)
+                    assert rep.moving_vector == (1,) * r and len(set(charge)) == 1
+            else:
+                assert rep.witness is None
+            for w in calls:
+                assert (w is not None) == found
+                if w is not None:
+                    _assert_valid_witness(w, bid)
+            expected = constructed_witness_four_seeds(seed, core_pair, bid)
+            if expected is not None:
+                settled += 1
+                assert by_member == expected
+                assert rep.witness == (expected if rep.verdict == "infinite" else None)
+            first = AbacusPair(next(_member_stream(bid)), charge, e)
+            from_first = constructed_witness_four_seeds(first, core_pair, bid)
+            if from_first is not None:
+                assert by_stream == from_first
             blocks += 1
-            witnessed += expected is not None
+            witnessed += found
     assert blocks == 2577 and witnessed == 1259
+    assert len(witness_free) == 7 and scanned_by_repr_type == witness_free
+    assert settled == 655
 
 
 def large_inputs(seed):
@@ -514,3 +560,46 @@ def test_find_incomparable_pair_from_member_computes_no_core(monkeypatch):
     for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (3,)), (0, 1, 1), 2)):
         assert find_incomparable_pair(block_id(p), member=p.mp) is not None
     assert calls == []
+
+
+def test_repr_type_builds_no_lift_table_on_large_inputs(monkeypatch):
+    """Every infinite large seed-1 block is certified by its member or
+    its dual, so repr_type never opens the member stream: no lift table
+    is built for these n = 100 to 1000 blocks."""
+    lifts = []
+    monkeypatch.setattr("akblocks.blocks._lifts", lambda *args: lifts.append(args) or _lifts(*args))
+    witnessed = 0
+    for e, charge, mp, _ in large_inputs(1):
+        witnessed += repr_type(AbacusPair(mp, charge, e)).witness is not None
+    assert lifts == [] and witnessed > 200
+
+
+def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeypatch):
+    """Without a member, the search seeds on the stream's first member;
+    on the README quickstart block that member settles it, so one of its
+    3,428 members is read and the rest are never built."""
+    bid = block_id(AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3))
+    read = []
+
+    def counted(b, budget):
+        for mp in _member_stream(b, budget):
+            read.append(mp)
+            yield mp
+
+    monkeypatch.setattr("akblocks.classify._member_stream", counted)
+    w = find_incomparable_pair(bid)
+    assert w is not None and len(read) == 1
+    _assert_valid_witness(w, bid)
+    assert len(enumerate_block_members(bid)) == 3428
+
+
+def test_find_incomparable_pair_gates_before_any_lift_table(monkeypatch):
+    """An over-budget block raises BudgetExceeded from the stream's first
+    next(), before a lift table is built."""
+    lifts = []
+    monkeypatch.setattr("akblocks.blocks._lifts", lambda *args: lifts.append(args) or _lifts(*args))
+    bid = block_id(AbacusPair(((2,), (), ()), (0, 0, 0), 2))
+    with pytest.raises(BudgetExceeded) as err:
+        find_incomparable_pair(bid, enumeration_budget=3)
+    assert err.value.estimate == 9 and lifts == []
+    assert find_incomparable_pair(bid) is None and lifts

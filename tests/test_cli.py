@@ -9,7 +9,7 @@ import pytest
 
 from akblocks import moves
 from akblocks.abacus import AbacusPair
-from akblocks.cli import SCHEMAS, main
+from akblocks.cli import COMMANDS, SCHEMAS, main
 from akblocks.moves import core_and_vector
 
 PAIR41 = {
@@ -362,8 +362,10 @@ def test_enumerate_takes_moving_vectors_over_normalized_multicharge(capsys):
         ),
         (["bogus", json.dumps(PAIR41)], "argument command: invalid choice: 'bogus'"),
         (["render", json.dumps(PAIR41), "--window", "1"], "argument --window: expected 2 arguments"),
+        (["brauer-line", "2", "--n", "5", "--window", "1", "2"], "--n applies only to enumerate"),
+        (["dual", json.dumps(PAIR41), "--n", "7"], "--n applies only to enumerate"),
     ],
-    ids=["n", "command", "window"],
+    ids=["n", "command", "window", "n-on-brauer-line", "n-on-dual"],
 )
 def test_usage_errors_are_json_diagnostics(capsys, argv, detail):
     """A command line argparse rejects ends like any other parse error: main
@@ -373,6 +375,22 @@ def test_usage_errors_are_json_diagnostics(capsys, argv, detail):
     assert len(err.splitlines()) == 1 and "usage" not in err
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "parse" and diagnostic["detail"].startswith(detail)
+
+
+def test_n_and_window_only_where_they_apply(capsys):
+    """--n belongs to enumerate and --window to render; on any other
+    command each is a parse error (exit 2), not silently dropped."""
+    for command in sorted(COMMANDS):
+        positionals = {"brauer-line": ["2"], "sigma": ["1"], "rotate": ["1"]}.get(command, [])
+        if command != "brauer-line":
+            positionals.append(json.dumps(PAIR41))
+        for flag, values, only in (("--n", ["2"], "enumerate"), ("--window", ["-2", "1"], "render")):
+            code, out, err = run(capsys, command, *positionals, flag, *values)
+            if command == only:
+                assert code == 0, err
+                continue
+            assert code == 2 and out == "", command
+            assert json.loads(err) == {"error": "parse", "detail": f"{flag} applies only to {only}, not {command}"}
 
 
 def test_help_still_exits_zero(capsys):

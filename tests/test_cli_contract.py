@@ -10,8 +10,9 @@ deadline.  Jobs are drawn valid, near-valid (out-of-range or unordered
 values, missing fields, unreachable targets), wrong-typed and
 huge-valued: charge spreads up to 10^6 and ``--n`` up to 10^9.  Command
 lines are also drawn broken (a non-integer ``--n``, an unknown command
-or option, a short ``--window``, a missing or extra positional), which
-must end in exit 2 with one JSON diagnostic like any other parse error.
+or option, a short ``--window``, a missing or extra positional, an
+``--n`` off ``enumerate`` or a ``--window`` off ``render``), which must
+end in exit 2 with one JSON diagnostic like any other parse error.
 
 Spreads of 10^6 are drawn with finite e only.  With infinite e the level
 reader scans every column of the display, so one such job takes seconds
@@ -158,11 +159,18 @@ def jobs(draw):
         argv[1:] = draw(st.lists(LINE_PARAM, min_size=1, max_size=4))
     elif command == "render" and draw(st.booleans()):
         argv += ["--window", draw(WINDOW_END), draw(WINDOW_END)]
-    if command == "enumerate" or draw(st.booleans()):
+    # --n belongs to enumerate and --window to render; elsewhere each is a
+    # usage error, drawn now and then
+    stray = draw(st.sampled_from([None] * 8 + ["--n", "--window"]))
+    if command == "enumerate" or stray == "--n":
         argv += ["--n", str(n)]
+    if stray == "--window" and command != "render":
+        argv += ["--window", draw(WINDOW_END), draw(WINDOW_END)]
+    misplaced = stray == "--n" and command != "enumerate" or stray == "--window" and command != "render"
     if flavour == "argv":
         argv = broken_command_line(draw, argv)
-    return argv, draw(st.sampled_from(["0", "12", "1000", "100000", "lots"])), flavour == "argv"
+    budget = draw(st.sampled_from(["0", "12", "1000", "100000", "lots"]))
+    return argv, budget, flavour == "argv" or misplaced
 
 
 def run_in_process(argv, budget):
@@ -201,6 +209,8 @@ WEIGHT_ONE = {"e": 4, "multicharge": [0, 1, 2], "multipartition": [[], [1], [1]]
 @example((["brauer-line", "30000", "7", "3"], "100000", False))
 @example((["brauer-line", str(10**9)], "100000", False))
 @example((["brauer-line", "4", "3", "3", "1"], "100000", True))
+@example((["brauer-line", "2", "--n", "5", "--window", "1", "2"], "100000", True))
+@example((["dual", json.dumps(WEIGHT_ONE), "--n", "7"], "100000", True))
 def test_cli_contract(case):
     argv, budget, rejected = case
     start = time.perf_counter()
