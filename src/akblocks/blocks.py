@@ -13,7 +13,7 @@ dominant one.
 from __future__ import annotations
 
 from itertools import chain, product
-from operator import add, getitem, gt, sub
+from operator import getitem, sub
 from typing import NamedTuple
 
 from .abacus import AbacusPair, _pair_of_beads, row_from_beads
@@ -178,28 +178,26 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
     return sorted(_member_stream(b, budget))
 
 
-def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """The members of :func:`enumerate_block_members`, unsorted, each
-    yielded as it is built; the budget gate runs at the first ``next()``,
-    before any lift table is built."""
+def _block_core(b: BlockId):
+    """(normalized charge, sigma, tops, core, moving vector) of the block,
+    or None when no multipartition has its content; O(r*e) with finite e.
+
+    A core fills each subabacus below its base plus its bead count, and
+    adding a node of residue f moves a bead from subabacus f-1 to f, so
+    the tops are the empty multipartition's shifted by c_f - c_(f+1);
+    with infinite e the columns below lo are full and those past the
+    tops empty."""
     from .moves import _core_counts, _core_pair, _vector_from_charges
 
-    r = len(b.charge)
-    _check_budget(b.n, r, budget)
-    e = b.e
+    e, r = b.e, len(b.charge)
     content = b.content_dict()
     if sum(content.values()) != b.n or any(
         v <= 0 or not isinstance(f, int) or residue(f, e) != f for f, v in content.items()
     ):
-        return
-    charge, sigma = normalize_multicharge(b.charge, e)
-    w = defect(b)
-    # a core fills each subabacus below its base plus its bead count, and adding
-    # a node of residue f moves a bead from subabacus f-1 to f, so the tops are
-    # the empty multipartition's shifted by c_f - c_(f+1); with infinite e the
-    # columns below lo are full and those past the tops empty
-    empty = AbacusPair(((),) * r, charge, e)
-    lo, hi = empty.bounds()
+        return None
+    charge, sigma = normalize_multicharge(check_integers(b.charge, "multicharge"), e)
+    empty = AbacusPair._of(((),) * r, charge, e)
+    lo, hi = min(charge), max(charge)  # the empty pair's bounds
     if content and not is_finite(e):
         lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
     tops = {
@@ -207,16 +205,31 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
         for f, top in _core_counts(empty, range(lo, hi))[0].items()
     }
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
-        return
+        return None
     core = _core_pair(tops, lo, e, r)
-    mv = _vector_from_charges(charge, core.charge, w, e)
-    if mv is None:
+    mv = _vector_from_charges(charge, core.charge, defect(b), e)
+    return None if mv is None else (charge, sigma, tops, core, mv)
+
+
+def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET, block=None):
+    """The members of :func:`enumerate_block_members`, unsorted, each
+    yielded as it is built; the budget gate runs at the first ``next()``,
+    before any lift table is built, and each table builds a size of lift
+    only when the tally search first asks for it.  ``block`` is the
+    block's :func:`_block_core`, when the caller has it."""
+    r = len(b.charge)
+    _check_budget(b.n, r, budget)
+    if block is None:
+        block = _block_core(b)
+    if block is None:
         return
+    _, sigma, tops, core, mv = block
+    e = b.e
     # members list their rows in the block's own slot order
     place = [x - 1 for x in sigma]
     # with infinite e a full or empty column cannot move
     tables = [
-        _lifts(c, top, mv, e, place) for c, top in tops.items() if is_finite(e) or 0 < top < r
+        _Lifts(c, top, mv, e, place) for c, top in tops.items() if is_finite(e) or 0 < top < r
     ]
     rows_by_slot = [None] * r
     for x, (floor, extras) in zip(place, core._beadsets):
@@ -227,81 +240,96 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
             yield tuple(map(getitem, rows_by_slot, changes))
 
 
-def _lifts(c: int, top: int, mv: tuple, e, place: list) -> dict:
-    """{per-row tally: lifts} for every partition pi lifted onto
-    subabacus c (bead i rising from level top - i by pi_i) whose tally
-    stays <= mv.
+class _Lifts(dict):
+    """{size s: {per-row tally: lifts}} for every partition pi of s lifted
+    onto subabacus c (bead i rising from level top - i by pi_i) whose
+    tally stays <= mv.  Sizes are built on first use, each after every
+    smaller one: a partition is a smaller one with its last part added,
+    so each lift built files its children under the sizes they reach.
 
     A lift lists, for each row x at index ``place[x - 1]``, the frozen
     set of (column, +1 filled / -1 emptied) bead changes; equal sets are
     one object.  With infinite e the subabacus is one column of r
     levels, so pi fits in a top x (r - top) box.
     """
-    r = len(place)
-    if is_finite(e):
-        max_len = max_part = sum(mv)
-    else:
-        max_len, max_part = top, r - top
-    # the position and the one-move tally of every level a lift can touch:
-    # level t lies in row r - (t mod r), column (t // r) * e + c
-    span = range(top - max_len, top + max_part)
-    step = e if is_finite(e) else 0
-    where = {t: (place[r - 1 - t % r], t // r * step + c) for t in span}
-    unit = {t: tuple(int(x == r - 1 - t % r) for x in range(r)) for t in span}
-    changes: dict = {}
-    groups: dict = {}
-    stack = [((), (0,) * r, {})]  # (pi, tally, {level: +1 filled / -1 emptied})
-    while stack:
-        pi, tally, net = stack.pop()
-        per_row: dict = {}
-        for t, sign in net.items():
-            x, col = where[t]
-            per_row.setdefault(x, []).append((col, sign))
-        lift = [frozenset()] * r
-        for x, moved in per_row.items():
-            key = frozenset(moved)
-            lift[x] = changes.setdefault(key, key)
-        groups.setdefault(tally, []).append(tuple(lift))
-        i = len(pi) + 1
-        if i > max_len:
-            continue
-        grown = tally
-        for part in range(1, (pi[-1] if pi else max_part) + 1):
-            grown = tuple(map(add, grown, unit[top - i + part]))
-            if any(map(gt, grown, mv)):
-                break  # a longer rise passes the same levels
-            # bead i leaves level top - i, which no lift has touched yet, for a
-            # free level that is either above the core or a level emptied before
-            child = dict(net)
-            child[top - i] = -1
-            if child.get(top - i + part) == -1:
-                del child[top - i + part]
-            else:
-                child[top - i + part] = 1
-            stack.append((pi + (part,), grown, child))
-    return groups
+
+    def __init__(self, c: int, top: int, mv: tuple, e, place: list):
+        super().__init__()
+        r = len(place)
+        if is_finite(e):
+            max_len = max_part = sum(mv)
+        else:
+            max_len, max_part = top, r - top
+        # the position of every level a lift can touch: level t lies in row
+        # r - (t mod r), column (t // r) * e + c
+        step = e if is_finite(e) else 0
+        span = range(top - max_len, top + max_part)
+        self.where = {t: (place[r - 1 - t % r], t // r * step + c) for t in span}
+        self.top, self.mv, self.max_len = top, mv, max_len
+        self.changes: dict = {}
+        # {size: [(len pi, last part, tally, {level: +1 filled / -1 emptied})]}
+        self.waiting = {0: [(0, max_part, (0,) * r, {})]}
+
+    def __missing__(self, size: int) -> dict:
+        top, mv, where, changes = self.top, self.mv, self.where, self.changes
+        r = len(mv)
+        for s in range(len(self), size + 1):
+            groups = self[s] = {}
+            for length, last, tally, net in self.waiting.pop(s, ()):
+                per_row: dict = {}
+                for t, sign in net.items():
+                    x, col = where[t]
+                    per_row.setdefault(x, []).append((col, sign))
+                lift = [frozenset()] * r
+                for x, moved in per_row.items():
+                    key = frozenset(moved)
+                    lift[x] = changes.setdefault(key, key)
+                groups.setdefault(tally, []).append(tuple(lift))
+                i = length + 1
+                if i > self.max_len:
+                    continue
+                grown = list(tally)
+                for part in range(1, last + 1):
+                    x = r - 1 - (top - i + part) % r  # the row of the level reached
+                    grown[x] += 1
+                    if grown[x] > mv[x]:
+                        break  # a longer rise passes the same levels
+                    # bead i leaves level top - i, which no lift has touched yet, for a
+                    # free level that is either above the core or a level emptied before
+                    child = dict(net)
+                    child[top - i] = -1
+                    if child.get(top - i + part) == -1:
+                        del child[top - i + part]
+                    else:
+                        child[top - i + part] = 1
+                    self.waiting.setdefault(s + part, []).append((i, part, tuple(grown), child))
+        return self[size]
 
 
-def _tally_combinations(tables: list, mv: tuple):
-    """One lift group per subabacus, for every choice of tallies that
-    sums to exactly mv: a depth-first search subtracting tallies, with
-    the last subabacus's group looked up by the rest."""
+def _tally_combinations(tables: list, rest: tuple):
+    """One lift group per subabacus, for every choice of tallies that sums
+    to exactly ``rest``: a depth-first search subtracting tallies, with
+    the last subabacus's group looked up by what is left.  Each subabacus
+    tries the sizes from an even share of the rest upward, then the smaller
+    ones, so the first choices build only each table's small sizes."""
     if not tables:
-        if not any(mv):
+        if not any(rest):
             yield ()
         return
-    stack = [(0, mv, ())]
-    while stack:
-        depth, rest, chosen = stack.pop()
-        if depth == len(tables) - 1:
-            group = tables[depth].get(rest)
-            if group:
-                yield chosen + (group,)
-            continue
-        for tally, group in tables[depth].items():
+    table, others = tables[0], tables[1:]
+    total = sum(rest)
+    if not others:
+        group = table[total].get(rest)
+        if group:
+            yield (group,)
+        return
+    share = total // len(tables)
+    for size in chain(range(share, total + 1), range(share - 1, -1, -1)):
+        for tally, group in table[size].items():
             left = tuple(map(sub, rest, tally))
             if min(left) >= 0:
-                stack.append((depth + 1, left, chosen + (group,)))
+                for groups in _tally_combinations(others, left):
+                    yield (group,) + groups
 
 
 class _RowComponents(dict):

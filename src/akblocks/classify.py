@@ -9,18 +9,23 @@ polynomial ring.  Infinite type is certified, where possible, by a pair
 of same-block abaci that become dominance-incomparable after a
 component permutation.
 
-Such pairs are first built by four pattern constructions on one seed
-abacus.  Each construction starts from a bead over a hole: a column
-where a row carries a bead and a later row has none (the next row, with
-row r + 1 read as row 1 shifted by e, or any later row for
+The verdict comes first: it needs only the block's core and moving
+vector, O(parts + r*e) with finite e, and a block of finite type has no
+witness, so the search runs only on blocks of infinite type.  Such pairs
+are first built by four pattern constructions on one seed abacus.  Each
+construction starts from a bead over a hole: a column where a row
+carries a bead and a later row has none (the next row, with row r + 1
+read as row 1 shifted by e, or any later row for
 ``construct_four_rows_one_column``).  In a complete abacus, such as the
 block's core, each row's beads lie in the next row's, so it has no bead
 over a hole, and neither has its dual.  The seeds are therefore the
 member, then its dual, and only if both yield nothing the block's other
-members, as its member stream builds them; the pairwise scan of every
-member is the last step.  The four constructions share one memo of each
-seed's row-pair column lists, read from the rows' (floor, extras), and
-build their pairs with :func:`akblocks.abacus._moved`, the one bead move.
+members, as its member stream builds them (each subabacus's lifts one
+size at a time, as the members read need them); the pairwise scan of
+every member is the last step.  The four constructions share one memo
+of each seed's row-pair column lists, read from the rows' (floor,
+extras), and build their pairs with :func:`akblocks.abacus._moved`, the
+one bead move.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
     BudgetExceeded,
+    _block_core,
     _member_stream,
     block_id,
     defect,
@@ -427,24 +433,33 @@ def find_incomparable_pair(
 ):
     """Search the block for an incomparable pair of abaci.
 
-    Pattern constructions run on a member (the given one, else the first
-    the block's member stream builds), then on its dual, then on each
-    other member in stream order.  They need a bead over a hole, which a
-    complete abacus never has, so the block's core is not a seed.  An
-    exhaustive pairwise scan of the members (capped at ``pair_budget``
-    comparisons) is the last step.  Returns None when both strategies
-    exhaust; for blocks whose member set is totally ordered no witness
-    exists at all."""
-    stream = None
-    if member is None:
-        stream = _member_stream(b, enumeration_budget)
-        member = next(stream, None)
-        if member is None:
-            return None
-        stream = chain((member,), stream)
-    seed = AbacusPair(member, b.charge, b.e)
-    if block_id(seed) != b:
+    The verdict comes first, from the block's core and vector: a block of
+    finite type, or with no members, has no witness, so None is returned
+    without building a member or checking the enumeration budget (a
+    given member outside the block raises ValueError before that).
+    Otherwise pattern constructions run on a member (the given one, else
+    the first the member stream builds), then on its dual, then on each
+    other member in stream order, and an exhaustive pairwise scan of the
+    members (capped at ``pair_budget`` comparisons) is the last step.
+    Returns None when both strategies exhaust."""
+    seed = None if member is None else AbacusPair(member, b.charge, b.e)
+    if seed is not None and block_id(seed) != b:
         raise ValueError("the given member does not lie in the block")
+    # weight at most one is finite whatever the vector, and a block with
+    # no members has no witness either
+    block = _block_core(b) if defect(b) > 1 else None
+    if block is None:
+        return None
+    charge, *_, mv = block
+    if _finite_detail(mv, charge, b.e, len(charge)) is not None:
+        return None
+    stream = None
+    if seed is None:
+        stream = _member_stream(b, enumeration_budget, block)
+        first = next(stream, None)
+        if first is None:
+            return None
+        seed, stream = AbacusPair._of(first, b.charge, b.e), chain((first,), stream)
     return _witness_search(seed, b, pair_budget, enumeration_budget, stream)
 
 
@@ -506,37 +521,22 @@ def _brauer_edge_count(mv, charge, e, r) -> int:
     return a + 1
 
 
-def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprTypeReport:
-    """Classify the representation type of the block containing the pair.
+def _finite_detail(mv, charge, e, r):
+    """The detail fields of a finite verdict on the block with moving
+    vector ``mv`` over the normalized multicharge ``charge``, or None
+    when the block is of infinite type.
 
-    The multicharge is normalized first (reduced mod e and stably
-    sorted, permuting components along).  Weight at most one is always
-    finite; otherwise the block is finite exactly when the moving vector
-    ends in zero and its nonzero entries are a single run of ones over
-    equal charge entries (one slot past the run included), in which case
-    the block is a truncated polynomial ring of degree weight+1.
+    Weight at most one is always finite; otherwise the block is finite
+    exactly when the moving vector ends in zero and its nonzero entries
+    are a single run of ones over equal charge entries (one slot past
+    the run included), in which case the block is a truncated
+    polynomial ring of degree weight+1.
     """
-    charge_norm, sigma = normalize_multicharge(p.charge, p.e)
-    q = AbacusPair._of(permute(p.mp, sigma), charge_norm, p.e)
-    mv, _ = block_moving_vector(q)
     w = sum(mv)
-    report = dict(
-        weight=w,
-        moving_vector=mv,
-        normalized_charge=charge_norm,
-        sigma=sigma,
-    )
-    r, e = q.r, q.e
-
     if w == 0:
-        return ReprTypeReport(verdict="finite", detail_kind="simple", **report)
+        return {"detail_kind": "simple"}
     if w == 1:
-        return ReprTypeReport(
-            verdict="finite",
-            detail_kind="brauer_line",
-            detail_edges=_brauer_edge_count(mv, charge_norm, e, r),
-            **report,
-        )
+        return {"detail_kind": "brauer_line", "detail_edges": _brauer_edge_count(mv, charge, e, r)}
     if r > 2:
         ones = [i for i, m in enumerate(mv) if m == 1]
         consecutive_run = (
@@ -546,15 +546,32 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
         )
         if mv[-1] == 0 and consecutive_run:
             j = ones[0]
-            if len(set(charge_norm[j : j + w + 1])) == 1:
-                return ReprTypeReport(
-                    verdict="finite",
-                    detail_kind="truncated_polynomial",
-                    detail_degree=w + 1,
-                    **report,
-                )
+            if len(set(charge[j : j + w + 1])) == 1:
+                return {"detail_kind": "truncated_polynomial", "detail_degree": w + 1}
+    return None
+
+
+def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprTypeReport:
+    """Classify the representation type of the block containing the pair.
+
+    The multicharge is normalized first (reduced mod e and stably
+    sorted, permuting components along), and the verdict is
+    :func:`_finite_detail`'s on the block's moving vector.
+    """
+    charge_norm, sigma = normalize_multicharge(p.charge, p.e)
+    q = AbacusPair._of(permute(p.mp, sigma), charge_norm, p.e)
+    mv, _ = block_moving_vector(q)
+    report = dict(
+        weight=sum(mv),
+        moving_vector=mv,
+        normalized_charge=charge_norm,
+        sigma=sigma,
+    )
+    detail = _finite_detail(mv, charge_norm, q.e, q.r)
+    if detail is not None:
+        return ReprTypeReport(verdict="finite", **detail, **report)
     witness = None
-    if r >= 2 and witness_budget > 0:
+    if q.r >= 2 and witness_budget > 0:
         try:
             witness = _witness_search(q, block_id(q), witness_budget, DEFAULT_ENUMERATION_BUDGET)
         except BudgetExceeded:
@@ -592,7 +609,19 @@ def subabacus_moving_vector(
 
 def derived_equivalent_weight1(b1: BlockId, b2: BlockId) -> bool:
     """Weight-one blocks are derived equivalent iff their subabacus
-    moving vectors have the same number of nonzero components."""
+    moving vectors have the same number of nonzero components: one more
+    than the edges of the block's straight-line Brauer tree, which decide
+    derived equivalence (Rickard) and are read from the block's core and
+    vector, with no member built and no budget."""
     if defect(b1) != 1 or defect(b2) != 1:
         raise ValueError("the invariant only applies to weight-one blocks")
-    return len(subabacus_moving_vector(b1)) == len(subabacus_moving_vector(b2))
+    return _edge_count(b1) == _edge_count(b2)
+
+
+def _edge_count(b: BlockId):
+    """A weight-one block's Brauer edge count; None if it has no members."""
+    block = _block_core(b)
+    if block is None:
+        return None
+    charge, *_, mv = block
+    return _brauer_edge_count(mv, charge, b.e, len(charge))

@@ -24,12 +24,19 @@ bead move that the constructions and ``apply_op`` share is checked
 against a rebuild of every row's bead set, read column by column.
 Affine Weyl orbits are checked against the breadth-first search over
 content vectors that preceded the dominant reduction, which shares only
-the pairing (alpha_j, Lambda - beta) with it.
+the pairing (alpha_j, Lambda - beta) with it.  The witness search's
+verdict-first shortcut, which answers None on a block of finite type, is
+checked by scanning every ordered pair of such a block's members with
+the column scans above.  The weight-one derived-equivalence test keeps
+its enumeration form here: it compares the numbers of nonzero components
+of the two blocks' subabacus moving vectors, counted from listed moves
+over the filter's members.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from akblocks.abacus import AbacusPair, dual, pair_from_beads
 from akblocks.classify import _CONSTRUCTIONS, _dual_coords, _RowPairCols, _witness_from
@@ -425,6 +432,30 @@ def constructed_witness_four_seeds(member, core_pair, b):
             if witness:
                 return witness
     return None
+
+
+def witness_by_member_scan(b, members):
+    """The first (mu, nu, coords) over the ordered pairs of ``members`` of
+    block ``b`` whose column-scan witness candidate passes the column-scan
+    checker, or None."""
+    pairs = [AbacusPair(mp, b.charge, b.e) for mp in members]
+    for a, c in permutations(pairs, 2):
+        coords = incomparable_abaci_by_scan(a, c)
+        if coords and is_incomparable_witness_by_scan(a, c, *coords):
+            return a.mp, c.mp, coords
+    return None
+
+
+@lru_cache(maxsize=None)
+def _nonzero_components_by_ops(b):
+    return len(subabacus_moving_vector_by_ops(b, block_members_by_filter(b)))
+
+
+def derived_equivalent_weight1_by_enumeration(b1, b2):
+    """Whether two weight-one blocks' subabacus moving vectors have the
+    same number of nonzero components, each vector counted from every
+    listed move of every member found by filtering."""
+    return _nonzero_components_by_ops(b1) == _nonzero_components_by_ops(b2)
 
 
 def _reflection_indices(k: dict, c: dict, e):

@@ -21,7 +21,7 @@ from akblocks.blocks import (
     weight_multiplicities,
     weyl_sigma,
 )
-from akblocks.classify import block_moving_vector, derived_equivalent_weight1
+from akblocks.classify import block_moving_vector, derived_equivalent_weight1, repr_type
 from akblocks.moves import core
 from akblocks.partitions import INFINITY, count_multipartitions, in_A, permute, permute_charge
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     defect_pairwise,
     orbit_reachable_by_bfs,
     tally_residues,
+    witness_by_member_scan,
 )
 
 
@@ -217,6 +218,34 @@ def test_member_stream_matches_filter_on_grid():
                 for n in range(9 if r < 5 else 7):
                     for bid in blocks_by_filter(e, charge, n):
                         _assert_stream_matches_filter(bid)
+
+
+def test_finite_blocks_have_no_witness_on_sweep_and_grid(desk_sweep):
+    """find_incomparable_pair answers None on a block of finite type
+    without a search, as the classification makes such a block
+    representation-finite.  The column-scan oracle finds no witness among
+    the ordered pairs of members of any finite block of the desk sweep or
+    of the member-stream grid (raw, unsorted and negative charges)."""
+    finite = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        e, r, charge = key
+        for bid, entries in grouped.items():
+            members = [mp for mp, *_ in entries]
+            if repr_type(AbacusPair(members[0], charge, e), witness_budget=0).verdict == "finite":
+                assert witness_by_member_scan(bid, members) is None, bid
+                finite += 1
+    assert finite == 1311
+    for e in (2, 4, 5, INFINITY):
+        for r, charges in GRID_CHARGES.items():
+            for charge in charges:
+                for n in range(9 if r < 5 else 7):
+                    for bid, members in blocks_by_filter(e, charge, n).items():
+                        if repr_type(AbacusPair(members[0], charge, e), witness_budget=0).verdict == "finite":
+                            assert witness_by_member_scan(bid, members) is None, bid
+                            finite += 1
+    assert finite > 1311
 
 
 def test_enumerate_block_members_unreachable_content():

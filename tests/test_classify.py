@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from akblocks import moves
 from akblocks.abacus import AbacusPair, dual, is_complete
-from akblocks.blocks import _lifts, _member_stream, block_id, defect, enumerate_block_members
+from akblocks.blocks import (
+    _Lifts,
+    _member_stream,
+    block_id,
+    defect,
+    enumerate_block_members,
+    normalize_multicharge,
+)
 from akblocks.classify import (
     _CONSTRUCTIONS,
     DEFAULT_PAIR_BUDGET,
@@ -41,6 +48,7 @@ from akblocks.partitions import (
 from oracles import (
     cols_by_scan,
     constructed_witness_four_seeds,
+    derived_equivalent_weight1_by_enumeration,
     incomparable_abaci_by_scan,
     is_incomparable_witness_by_scan,
     row_diffs_by_scan,
@@ -324,6 +332,30 @@ def test_derived_equivalence_examples():
         )
 
 
+def test_derived_equivalence_matches_enumeration_on_sweep(desk_sweep):
+    """derived_equivalent_weight1 compares Brauer edge counts read from the
+    block's core and vector; its enumeration form counts the nonzero
+    components of both subabacus moving vectors from listed moves.  They
+    agree on every pair of weight-one blocks of the desk sweep that share
+    e and the multicharge, and each block's component count is
+    repr_type's edge count plus one, so they agree across settings too."""
+    by_setting, pairs = {}, 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        for bid, entries in grouped.items():
+            if defect(bid) == 1:
+                rep = repr_type(AbacusPair(entries[0][0], bid.charge, bid.e))
+                assert len(subabacus_moving_vector_by_ops(bid, [mp for mp, *_ in entries])) == rep.detail_edges + 1
+                by_setting.setdefault(key, []).append(bid)
+    for bids in by_setting.values():
+        for i, b1 in enumerate(bids):
+            for b2 in bids[i:]:
+                assert derived_equivalent_weight1(b1, b2) == derived_equivalent_weight1_by_enumeration(b1, b2)
+                pairs += 1
+    assert sum(map(len, by_setting.values())) == 505 and pairs == 11722
+
+
 def test_repr_type_invariant_under_rotation_and_permutation():
     from itertools import permutations
 
@@ -552,26 +584,31 @@ def test_construction_memo_matches_fresh_model_and_column_scan():
 
 def test_find_incomparable_pair_from_member_computes_no_core(monkeypatch):
     """The constructions seed on the member and its dual, so a search that
-    a construction settles never computes the block's core."""
+    a construction settles never computes the core of a member.  The one
+    bead count it takes is the verdict's, on the empty multipartition
+    over the normalized multicharge, and no bead path is listed."""
     core_counts, core_paths = moves._core_counts, moves._core_paths
     calls = []
     monkeypatch.setattr(moves, "_core_counts", lambda a, *cols: calls.append(a) or core_counts(a, *cols))
     monkeypatch.setattr(moves, "_core_paths", lambda a: calls.append(a) or core_paths(a))
-    for p in (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (3,)), (0, 1, 1), 2)):
+    pairs = (AbacusPair(LAM332, S332, 5), AbacusPair(((), (), (3,)), (0, 1, 1), 2))
+    for p in pairs:
         assert find_incomparable_pair(block_id(p), member=p.mp) is not None
-    assert calls == []
+    empties = [AbacusPair(((),) * p.r, normalize_multicharge(p.charge, p.e)[0], p.e) for p in pairs]
+    assert calls == empties
 
 
 def test_repr_type_builds_no_lift_table_on_large_inputs(monkeypatch):
     """Every infinite large seed-1 block is certified by its member or
     its dual, so repr_type never opens the member stream: no lift table
     is built for these n = 100 to 1000 blocks."""
-    lifts = []
-    monkeypatch.setattr("akblocks.blocks._lifts", lambda *args: lifts.append(args) or _lifts(*args))
+    lifts, streams = [], []
+    monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
+    monkeypatch.setattr("akblocks.classify._member_stream", lambda *args: streams.append(args) or _member_stream(*args))
     witnessed = 0
     for e, charge, mp, _ in large_inputs(1):
         witnessed += repr_type(AbacusPair(mp, charge, e)).witness is not None
-    assert lifts == [] and witnessed > 200
+    assert lifts == streams == [] and witnessed > 200
 
 
 def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeypatch):
@@ -581,8 +618,8 @@ def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeyp
     bid = block_id(AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3))
     read = []
 
-    def counted(b, budget):
-        for mp in _member_stream(b, budget):
+    def counted(*args):
+        for mp in _member_stream(*args):
             read.append(mp)
             yield mp
 
@@ -593,11 +630,55 @@ def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeyp
     assert len(enumerate_block_members(bid)) == 3428
 
 
+def test_find_incomparable_pair_on_finite_blocks_opens_no_stream(monkeypatch):
+    """A block of finite type has no witness, so the verdict answers None
+    from the block's core and vector alone: no member stream is opened,
+    no lift table is built, and the enumeration budget is never checked,
+    with or without a member.  The blocks are a weight-one block and a
+    truncated-polynomial one (weight 2, vector (0, 1, 1, 0, 0, 0))."""
+    lifts, streams = [], []
+    monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
+    monkeypatch.setattr("akblocks.classify._member_stream", lambda *args: streams.append(args) or _member_stream(*args))
+    finite = (weight1_member(2), AbacusPair(((1,), (), (), (), (), ()), (1, 1, 1, 3, 3, 3), 5))
+    for p in finite:
+        bid = block_id(p)
+        assert repr_type(p).verdict == "finite"
+        assert find_incomparable_pair(bid) is None
+        assert find_incomparable_pair(bid, member=p.mp, enumeration_budget=0) is None
+    assert [defect(block_id(p)) for p in finite] == [1, 2]
+    assert lifts == streams == []
+    # an infinite block still opens the stream once its member and dual fail
+    p = AbacusPair(((2,), (), ()), (0, 0, 0), 2)
+    assert find_incomparable_pair(block_id(p), member=p.mp) is None
+    assert len(streams) == 1 and lifts
+
+
+def test_first_member_of_the_quickstart_block_builds_few_lifts(monkeypatch):
+    """Each subabacus's lift table builds a size only when the tally search
+    asks for it, and the search tries the sizes from an even share of the
+    rest upward first.  On the README quickstart block (e = 3, weight 12,
+    vector (4, 4, 4)), the first member builds the lifts of the partitions
+    of at most 4 on each of the three subabaci, 12 of each table's 243;
+    the whole enumeration builds all 243."""
+    tables = []
+    monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: tables.append(_Lifts(*args)) or tables[-1])
+
+    def built():
+        return [sum(len(group) for groups in table.values() for group in groups.values()) for table in tables]
+
+    bid = block_id(AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3))
+    stream = _member_stream(bid)
+    next(stream)
+    assert built() == [12, 12, 12]
+    assert len(list(stream)) == 3427
+    assert built() == [243, 243, 243]
+
+
 def test_find_incomparable_pair_gates_before_any_lift_table(monkeypatch):
     """An over-budget block raises BudgetExceeded from the stream's first
     next(), before a lift table is built."""
     lifts = []
-    monkeypatch.setattr("akblocks.blocks._lifts", lambda *args: lifts.append(args) or _lifts(*args))
+    monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
     bid = block_id(AbacusPair(((2,), (), ()), (0, 0, 0), 2))
     with pytest.raises(BudgetExceeded) as err:
         find_incomparable_pair(bid, enumeration_budget=3)

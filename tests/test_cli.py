@@ -195,6 +195,20 @@ def test_exit_codes(capsys):
     assert code == 3 and json.loads(err)["error"] == "budget"
 
 
+def test_witness_on_a_finite_block_needs_no_budget(capsys, monkeypatch):
+    """A block of finite type has no witness, and its verdict needs no
+    member, so `witness` answers found: false (exit 0) under a budget below
+    p_r(n); an infinite block whose member and dual yield nothing still
+    gates the member stream on it (exit 3)."""
+    monkeypatch.setenv("ABACUS_BUDGET", "1")
+    finite = {"e": 5, "multicharge": [1, 1, 1, 3, 3, 3], "multipartition": [[1], [], [], [], [], []]}
+    code, out, err = run(capsys, "witness", json.dumps(finite))
+    assert (code, json.loads(out), err) == (0, {"found": False}, "")
+    infinite = {"e": 2, "multicharge": [0, 0, 0], "multipartition": [[2], [], []]}
+    code, out, err = run(capsys, "witness", json.dumps(infinite))
+    assert code == 3 and json.loads(err) == {"error": "budget", "detail": "estimated 3 candidates exceeds budget 1"}
+
+
 @pytest.mark.parametrize(
     "job",
     [
