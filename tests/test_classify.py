@@ -635,7 +635,7 @@ def test_find_incomparable_pair_on_finite_blocks_opens_no_stream(monkeypatch):
     from the block's core and vector alone: no member stream is opened,
     no lift table is built, and the enumeration budget is never checked,
     with or without a member.  The blocks are a weight-one block and a
-    truncated-polynomial one (weight 2, vector (0, 1, 1, 0, 0, 0))."""
+    truncated-polynomial one (weight 2, vector (1, 1, 0, 0, 0, 0))."""
     lifts, streams = [], []
     monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
     monkeypatch.setattr("akblocks.classify._member_stream", lambda *args: streams.append(args) or _member_stream(*args))
