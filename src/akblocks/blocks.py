@@ -195,9 +195,9 @@ def _block_core(b: BlockId):
         v <= 0 or not isinstance(f, int) or residue(f, e) != f for f, v in content.items()
     ):
         return None
-    charge, sigma = normalize_multicharge(check_integers(b.charge, "multicharge"), e)
-    empty = AbacusPair._of(((),) * r, charge, e)
-    lo, hi = min(charge), max(charge)  # the empty pair's bounds
+    charge, sigma = normalize_multicharge(b.charge, e)
+    empty = AbacusPair(((),) * r, charge, e)
+    lo, hi = empty.bounds()
     if content and not is_finite(e):
         lo, hi = min(lo, min(content) - 1), max(hi, max(content) + 1)
     tops = {
@@ -211,16 +211,14 @@ def _block_core(b: BlockId):
     return None if mv is None else (charge, sigma, tops, core, mv)
 
 
-def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET, block=None):
+def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The members of :func:`enumerate_block_members`, unsorted, each
     yielded as it is built; the budget gate runs at the first ``next()``,
     before any lift table is built, and each table builds a size of lift
-    only when the tally search first asks for it.  ``block`` is the
-    block's :func:`_block_core`, when the caller has it."""
+    only when the tally search first asks for it."""
     r = len(b.charge)
     _check_budget(b.n, r, budget)
-    if block is None:
-        block = _block_core(b)
+    block = _block_core(b)
     if block is None:
         return
     _, sigma, tops, core, mv = block
@@ -306,30 +304,53 @@ class _Lifts(dict):
         return self[size]
 
 
-def _tally_combinations(tables: list, rest: tuple):
+def _tally_combinations(tables: list, mv: tuple):
     """One lift group per subabacus, for every choice of tallies that sums
-    to exactly ``rest``: a depth-first search subtracting tallies, with
-    the last subabacus's group looked up by what is left.  Each subabacus
-    tries the sizes from an even share of the rest upward, then the smaller
-    ones, so the first choices build only each table's small sizes."""
+    to exactly mv: a depth-first search subtracting tallies, with the last
+    subabacus's group looked up by the rest.  The search keeps its own
+    stack, one lazy choice iterator per subabacus, so it holds any number
+    of subabaci, and the first choices build only each table's small
+    sizes."""
     if not tables:
-        if not any(rest):
+        if not any(mv):
             yield ()
         return
-    table, others = tables[0], tables[1:]
-    total = sum(rest)
-    if not others:
-        group = table[total].get(rest)
+    last = len(tables) - 1
+    if last == 0:
+        group = tables[0][sum(mv)].get(mv)
         if group:
             yield (group,)
         return
-    share = total // len(tables)
+    choices, chosen = [_tally_choices(tables[0], mv, len(tables))], []
+    while choices:
+        step = next(choices[-1], None)
+        if step is None:
+            choices.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        left, group = step
+        depth = len(chosen)
+        if depth + 1 == last:
+            final = tables[last][sum(left)].get(left)
+            if final:
+                yield (*chosen, group, final)
+        else:
+            chosen.append(group)
+            choices.append(_tally_choices(tables[depth + 1], left, last - depth))
+
+
+def _tally_choices(table, rest: tuple, count: int):
+    """(rest less tally, group) for each tally of ``table`` that fits in
+    ``rest``, shared among ``count`` subabaci: the sizes from an even share
+    of the rest upward, then the smaller ones."""
+    total = sum(rest)
+    share = total // count
     for size in chain(range(share, total + 1), range(share - 1, -1, -1)):
         for tally, group in table[size].items():
             left = tuple(map(sub, rest, tally))
             if min(left) >= 0:
-                for groups in _tally_combinations(others, left):
-                    yield (group,) + groups
+                yield left, group
 
 
 class _RowComponents(dict):

@@ -455,7 +455,7 @@ def find_incomparable_pair(
         return None
     stream = None
     if seed is None:
-        stream = _member_stream(b, enumeration_budget, block)
+        stream = _member_stream(b, enumeration_budget)
         first = next(stream, None)
         if first is None:
             return None

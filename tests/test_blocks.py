@@ -220,6 +220,20 @@ def test_member_stream_matches_filter_on_grid():
                         _assert_stream_matches_filter(bid)
 
 
+def test_member_stream_outgrows_the_recursion_limit():
+    """The tally search keeps its own stack, one frame per lift table, so
+    a block with more tables than Python's default recursion limit of 1000
+    still streams its members: e = 1500 gives one table per residue, and
+    with infinite e a charge spread of 1500 gives one per column between
+    the charges."""
+    for mp, charge, e in (
+        (((1,), ()), (0, 0), 1500),
+        (((1, 1), (), (1,)), (0, 0, 0), 1500),
+        (((2,), (1,), ()), (0, 1500, 0), INFINITY),
+    ):
+        _assert_stream_matches_filter(block_id(AbacusPair(mp, charge, e)))
+
+
 def test_finite_blocks_have_no_witness_on_sweep_and_grid(desk_sweep):
     """find_incomparable_pair answers None on a block of finite type
     without a search, as the classification makes such a block

@@ -604,7 +604,7 @@ def test_repr_type_builds_no_lift_table_on_large_inputs(monkeypatch):
     is built for these n = 100 to 1000 blocks."""
     lifts, streams = [], []
     monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
-    monkeypatch.setattr("akblocks.classify._member_stream", lambda *args: streams.append(args) or _member_stream(*args))
+    monkeypatch.setattr("akblocks.classify._member_stream", lambda b, budget: streams.append(b) or _member_stream(b, budget))
     witnessed = 0
     for e, charge, mp, _ in large_inputs(1):
         witnessed += repr_type(AbacusPair(mp, charge, e)).witness is not None
@@ -618,8 +618,8 @@ def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeyp
     bid = block_id(AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3))
     read = []
 
-    def counted(*args):
-        for mp in _member_stream(*args):
+    def counted(b, budget):
+        for mp in _member_stream(b, budget):
             read.append(mp)
             yield mp
 
@@ -638,7 +638,7 @@ def test_find_incomparable_pair_on_finite_blocks_opens_no_stream(monkeypatch):
     truncated-polynomial one (weight 2, vector (1, 1, 0, 0, 0, 0))."""
     lifts, streams = [], []
     monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: lifts.append(args) or _Lifts(*args))
-    monkeypatch.setattr("akblocks.classify._member_stream", lambda *args: streams.append(args) or _member_stream(*args))
+    monkeypatch.setattr("akblocks.classify._member_stream", lambda b, budget: streams.append(b) or _member_stream(b, budget))
     finite = (weight1_member(2), AbacusPair(((1,), (), (), (), (), ()), (1, 1, 1, 3, 3, 3), 5))
     for p in finite:
         bid = block_id(p)
@@ -651,6 +651,19 @@ def test_find_incomparable_pair_on_finite_blocks_opens_no_stream(monkeypatch):
     p = AbacusPair(((2,), (), ()), (0, 0, 0), 2)
     assert find_incomparable_pair(block_id(p), member=p.mp) is None
     assert len(streams) == 1 and lifts
+
+
+def test_block_queries_on_1500_subabaci():
+    """The witness search and the subabacus moving vector stream the
+    members of an e = 1500 block, one lift table per residue, past
+    Python's default recursion limit."""
+    p = AbacusPair(((1, 1), (), (1,)), (0, 0, 0), 1500)
+    bid = block_id(p)
+    w = find_incomparable_pair(bid)
+    assert w is not None and repr_type(p).verdict == "infinite"
+    _assert_valid_witness(w, bid)
+    members = enumerate_block_members(bid)
+    assert subabacus_moving_vector(bid) == subabacus_moving_vector_by_ops(bid, members) == {0: 6, 1498: 6, 1499: 6}
 
 
 def test_first_member_of_the_quickstart_block_builds_few_lifts(monkeypatch):

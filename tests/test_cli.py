@@ -119,6 +119,12 @@ def test_derived_class(capsys):
     assert doc["nonzero_components"] == 3
 
 
+def test_derived_class_on_1500_subabaci(capsys):
+    job = {"e": 1500, "multicharge": [0, 0], "multipartition": [[1], []]}
+    doc = run_json(capsys, "derived-class", json.dumps(job))
+    assert doc["nonzero_components"] == 2
+
+
 def test_brauer_line(capsys):
     doc = run_json(capsys, "brauer-line", "4", "3", "3")
     assert len(doc["type_i"]) == 7 and len(doc["poset"]) == 7
