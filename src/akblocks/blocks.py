@@ -12,11 +12,12 @@ dominant one.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import chain, product
-from operator import getitem, sub
+from operator import sub
 from typing import NamedTuple
 
-from .abacus import AbacusPair, _pair_of_beads, row_from_beads
+from .abacus import AbacusPair, _pair_of_beads
 from .partitions import (  # the budget names stay importable from this module
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceeded,
@@ -179,15 +180,15 @@ def enumerate_block_members(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET
 
 
 def _block_core(b: BlockId):
-    """(normalized charge, sigma, tops, core, moving vector) of the block,
+    """(normalized charge, sigma, tops, lo, moving vector) of the block,
     or None when no multipartition has its content; O(r*e) with finite e.
 
     A core fills each subabacus below its base plus its bead count, and
     adding a node of residue f moves a bead from subabacus f-1 to f, so
     the tops are the empty multipartition's shifted by c_f - c_(f+1);
     with infinite e the columns below lo are full and those past the
-    tops empty."""
-    from .moves import _core_counts, _core_pair, _vector_from_charges
+    tops empty.  The core's charges are read off the tops."""
+    from .moves import _core_charges, _core_counts, _vector_from_charges
 
     e, r = b.e, len(b.charge)
     content = b.content_dict()
@@ -206,9 +207,8 @@ def _block_core(b: BlockId):
     }
     if not is_finite(e) and any(not 0 <= top <= r for top in tops.values()):
         return None
-    core = _core_pair(tops, lo, e, r)
-    mv = _vector_from_charges(charge, core.charge, defect(b), e)
-    return None if mv is None else (charge, sigma, tops, core, mv)
+    mv = _vector_from_charges(charge, _core_charges(tops, lo, e, r), defect(b), e)
+    return None if mv is None else (charge, sigma, tops, lo, mv)
 
 
 def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -216,91 +216,84 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
     yielded as it is built; the budget gate runs at the first ``next()``,
     before any lift table is built, and each table builds a size of lift
     only when the tally search first asks for it."""
+    from .moves import _core_pair
+
     r = len(b.charge)
     _check_budget(b.n, r, budget)
     block = _block_core(b)
     if block is None:
         return
-    _, sigma, tops, core, mv = block
-    e = b.e
+    _, sigma, tops, lo, mv = block
     # members list their rows in the block's own slot order
     place = [x - 1 for x in sigma]
     # with infinite e a full or empty column cannot move
     tables = [
-        _Lifts(c, top, mv, e, place) for c, top in tops.items() if is_finite(e) or 0 < top < r
+        _Lifts(c, top, mv, b.e, place) for c, top in tops.items() if is_finite(b.e) or 0 < top < r
     ]
     rows_by_slot = [None] * r
-    for x, (floor, extras) in zip(place, core._beadsets):
+    for x, (floor, extras) in zip(place, _core_pair(tops, lo, b.e, r)._beadsets):
         rows_by_slot[x] = _RowComponents(floor, extras)
     for groups in _tally_combinations(tables, mv):
-        for pick in product(*groups):
-            changes = zip(*pick) if pick else [()] * r  # per row; empty when nothing moves
-            yield tuple(map(getitem, rows_by_slot, changes))
+        # each row's product of its changes in the groups; no groups: the core alone
+        columns = list(zip(*groups)) or [()] * r
+        yield from zip(*[map(row.__getitem__, product(*cols)) for row, cols in zip(rows_by_slot, columns)])
 
 
 class _Lifts(dict):
-    """{size s: {per-row tally: lifts}} for every partition pi of s lifted
-    onto subabacus c (bead i rising from level top - i by pi_i) whose
-    tally stays <= mv.  Sizes are built on first use, each after every
-    smaller one: a partition is a smaller one with its last part added,
-    so each lift built files its children under the sizes they reach.
-
-    A lift lists, for each row x at index ``place[x - 1]``, the frozen
-    set of (column, +1 filled / -1 emptied) bead changes; equal sets are
-    one object.  With infinite e the subabacus is one column of r
-    levels, so pi fits in a top x (r - top) box.
+    """{size s: {per-row tally: lifts by row}} for every partition pi of
+    s lifted onto subabacus c (bead i rising from level top - i by pi_i)
+    whose tally stays <= mv.  Sizes are built on first use, each after
+    every smaller one: a partition is a smaller one with its last part
+    added, so each lift built files its children under the sizes they
+    reach.  A lift gives row x, at index ``place[x - 1]``, the frozen set
+    of its (column, +1 filled / -1 emptied) bead changes; a child is its
+    parent with the one or two rows it touches replaced, equal sets are
+    one object, and a tally's entry x lists row x's set of each lift.
+    With infinite e the subabacus is one column of r levels, so pi fits
+    in a top x (r - top) box.
     """
 
     def __init__(self, c: int, top: int, mv: tuple, e, place: list):
         super().__init__()
         r = len(place)
-        if is_finite(e):
-            max_len = max_part = sum(mv)
-        else:
-            max_len, max_part = top, r - top
-        # the position of every level a lift can touch: level t lies in row
-        # r - (t mod r), column (t // r) * e + c
+        max_len, max_part = (sum(mv), sum(mv)) if is_finite(e) else (top, r - top)
+        # every level a lift can touch: level t lies in row r - (t mod r), tallied
+        # at r - 1 - t mod r and listed at place[r - 1 - t mod r], column (t // r) * e + c
         step = e if is_finite(e) else 0
         span = range(top - max_len, top + max_part)
-        self.where = {t: (place[r - 1 - t % r], t // r * step + c) for t in span}
+        self.where = {t: (r - 1 - t % r, place[r - 1 - t % r], t // r * step + c) for t in span}
         self.top, self.mv, self.max_len = top, mv, max_len
-        self.changes: dict = {}
-        # {size: [(len pi, last part, tally, {level: +1 filled / -1 emptied})]}
-        self.waiting = {0: [(0, max_part, (0,) * r, {})]}
+        empty = frozenset()
+        self.changes = {empty: empty}
+        # {size: [(len pi, last part, tally, lift)]}
+        self.waiting = {0: [(0, max_part, (0,) * r, (empty,) * r)]}
 
     def __missing__(self, size: int) -> dict:
-        top, mv, where, changes = self.top, self.mv, self.where, self.changes
-        r = len(mv)
+        top, mv, where, changes, waiting = self.top, self.mv, self.where, self.changes, self.waiting
         for s in range(len(self), size + 1):
-            groups = self[s] = {}
-            for length, last, tally, net in self.waiting.pop(s, ()):
-                per_row: dict = {}
-                for t, sign in net.items():
-                    x, col = where[t]
-                    per_row.setdefault(x, []).append((col, sign))
-                lift = [frozenset()] * r
-                for x, moved in per_row.items():
-                    key = frozenset(moved)
-                    lift[x] = changes.setdefault(key, key)
-                groups.setdefault(tally, []).append(tuple(lift))
+            groups: dict = {}
+            for length, last, tally, lift in waiting.pop(s, ()):
+                groups.setdefault(tally, []).append(lift)
                 i = length + 1
                 if i > self.max_len:
                     continue
+                # bead i leaves level top - i, which no lift has touched yet, for a
+                # free level that is either above the core or a level emptied before
+                _, x, col = where[top - i]
+                left = lift[x] | {(col, -1)}
+                left = changes.setdefault(left, left)
                 grown = list(tally)
                 for part in range(1, last + 1):
-                    x = r - 1 - (top - i + part) % r  # the row of the level reached
-                    grown[x] += 1
-                    if grown[x] > mv[x]:
+                    u, y, dst = where[top - i + part]
+                    grown[u] += 1
+                    if grown[u] > mv[u]:
                         break  # a longer rise passes the same levels
-                    # bead i leaves level top - i, which no lift has touched yet, for a
-                    # free level that is either above the core or a level emptied before
-                    child = dict(net)
-                    child[top - i] = -1
-                    if child.get(top - i + part) == -1:
-                        del child[top - i + part]
-                    else:
-                        child[top - i + part] = 1
-                    self.waiting.setdefault(s + part, []).append((i, part, tuple(grown), child))
+                    child = list(lift)
+                    child[x] = left
+                    row = child[y] - {(dst, -1)} if (dst, -1) in child[y] else child[y] | {(dst, 1)}
+                    child[y] = changes.setdefault(row, row)
+                    waiting.setdefault(s + part, []).append((i, part, tuple(grown), tuple(child)))
+            self[s] = {tally: tuple(zip(*lifts)) for tally, lifts in groups.items()}
         return self[size]
 
 
@@ -356,19 +349,28 @@ def _tally_choices(table, rest: tuple, count: int):
 class _RowComponents(dict):
     """The components of one core row under the lifts' bead changes in
     that row, keyed by those changes; each is built once, so equal
-    components of different members are one object."""
+    components of different members are one object.  A component applies
+    its changes to the row's ascending bead list, every bead from the
+    lowest column emptied so far on, and reads its parts off."""
 
     def __init__(self, floor: int, extras):
         super().__init__()
-        self.floor, self.extras = floor, extras
+        self.low, self.beads = floor, sorted(extras)
 
     def __missing__(self, changes: tuple) -> tuple:
-        moved = [m for change in changes for m in change]
-        low = min([self.floor] + [col for col, sign in moved if sign < 0])
-        beads = set(chain(range(low, self.floor), self.extras))
-        beads.difference_update(col for col, sign in moved if sign < 0)
-        beads.update(col for col, sign in moved if sign > 0)
-        comp = self[changes] = row_from_beads(low, beads)[0]
+        moved = [m for change in changes if change for m in change]
+        low = min([self.low] + [col for col, sign in moved if sign < 0])
+        self.beads[:0], self.low = range(low, self.low), low
+        beads = self.beads.copy()
+        for col, sign in moved:
+            if sign < 0:
+                beads.remove(col)
+            else:
+                insort(beads, col)
+        # the j-th bead from the right, b_j, gives the part b_j + j - charge
+        s = self.low + len(beads)
+        parts = tuple(map(sub, reversed(beads), range(s - 1, s - 1 - len(beads), -1)))
+        comp = self[changes] = parts[: len(parts) - parts.count(0)]
         return comp
 
 

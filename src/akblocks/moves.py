@@ -322,6 +322,14 @@ def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
     return AbacusPair._of(tuple(mp), tuple(charge), e)
 
 
+def _core_charges(tops: dict, lo: int, e, r: int) -> tuple:
+    """:func:`_core_pair`'s charges: row x's is sum_c (top_c + x - 1) // r
+    with finite e, else lo plus the number of tops above r - x."""
+    if is_finite(e):
+        return tuple(sum((top + x - 1) // r for top in tops.values()) for x in range(1, r + 1))
+    return tuple(lo + sum(top > r - x for top in tops.values()) for x in range(1, r + 1))
+
+
 def _core_paths(a: AbacusPair):
     """(core pair, bead paths from the pair to it).
 

@@ -30,22 +30,28 @@ checked by scanning every ordered pair of such a block's members with
 the column scans above.  The weight-one derived-equivalence test keeps
 its enumeration form here: it compares the numbers of nonzero components
 of the two blocks' subabacus moving vectors, counted from listed moves
-over the filter's members.
+over the filter's members.  The member stream's order is checked against
+its earlier lift and row builders: each lift a {level: +1 / -1} dict
+copied from its parent and regrouped by row, each member row a set of
+the whole row decoded by ``row_from_beads``.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations, product
+from operator import getitem
 
-from akblocks.abacus import AbacusPair, dual, pair_from_beads
+from akblocks.abacus import AbacusPair, dual, pair_from_beads, row_from_beads
 from akblocks.classify import _CONSTRUCTIONS, _dual_coords, _RowPairCols, _witness_from
-from akblocks.moves import ElementaryOp, apply_op, core
+from akblocks.moves import ElementaryOp, _core_pair, apply_op, core
 from akblocks.blocks import (
     BlockId,
     CartanData,
     OrbitResult,
+    _block_core,
     _pairing,
+    _tally_combinations,
     weight_multiplicities,
 )
 from akblocks.partitions import (
@@ -512,3 +518,98 @@ def orbit_reachable_by_bfs(b1: BlockId, b2: BlockId, depth: int) -> OrbitResult:
                 return OrbitResult(True, nw, depth)
             queue.append((key, nw))
     return OrbitResult(False, None, depth)
+
+
+class _LiftsByLevelDicts(dict):
+    """{size s: {per-row tally: lifts}} of one subabacus, as the member
+    stream first built them: each waiting lift carries a {level: +1
+    filled / -1 emptied} dict, each child copies its parent's dict, and
+    every lift is regrouped row by row through the level positions."""
+
+    def __init__(self, c, top, mv, e, place):
+        super().__init__()
+        r = len(place)
+        if is_finite(e):
+            max_len = max_part = sum(mv)
+        else:
+            max_len, max_part = top, r - top
+        step = e if is_finite(e) else 0
+        span = range(top - max_len, top + max_part)
+        self.where = {t: (place[r - 1 - t % r], t // r * step + c) for t in span}
+        self.top, self.mv, self.max_len = top, mv, max_len
+        self.changes = {}
+        self.waiting = {0: [(0, max_part, (0,) * r, {})]}
+
+    def __missing__(self, size):
+        top, mv, where, changes = self.top, self.mv, self.where, self.changes
+        r = len(mv)
+        for s in range(len(self), size + 1):
+            groups = self[s] = {}
+            for length, last, tally, net in self.waiting.pop(s, ()):
+                per_row = {}
+                for t, sign in net.items():
+                    x, col = where[t]
+                    per_row.setdefault(x, []).append((col, sign))
+                lift = [frozenset()] * r
+                for x, moved in per_row.items():
+                    key = frozenset(moved)
+                    lift[x] = changes.setdefault(key, key)
+                groups.setdefault(tally, []).append(tuple(lift))
+                i = length + 1
+                if i > self.max_len:
+                    continue
+                grown = list(tally)
+                for part in range(1, last + 1):
+                    x = r - 1 - (top - i + part) % r
+                    grown[x] += 1
+                    if grown[x] > mv[x]:
+                        break
+                    child = dict(net)
+                    child[top - i] = -1
+                    if child.get(top - i + part) == -1:
+                        del child[top - i + part]
+                    else:
+                        child[top - i + part] = 1
+                    self.waiting.setdefault(s + part, []).append((i, part, tuple(grown), child))
+        return self[size]
+
+
+class _RowsByBeadSets(dict):
+    """One core row's components keyed by the lifts' changes in that row,
+    each rebuilt from a set of the whole row and decoded by row_from_beads."""
+
+    def __init__(self, floor, extras):
+        super().__init__()
+        self.floor, self.extras = floor, extras
+
+    def __missing__(self, changes):
+        moved = [m for change in changes for m in change]
+        low = min([self.floor] + [col for col, sign in moved if sign < 0])
+        beads = set(chain(range(low, self.floor), self.extras))
+        beads.difference_update(col for col, sign in moved if sign < 0)
+        beads.update(col for col, sign in moved if sign > 0)
+        comp = self[changes] = row_from_beads(low, beads)[0]
+        return comp
+
+
+def member_stream_by_level_dicts(b):
+    """The block's members in the member stream's order, from the lift and
+    row builders above, the library's block core and tally search aside."""
+    block = _block_core(b)
+    if block is None:
+        return
+    _, sigma, tops, lo, mv = block
+    r = len(b.charge)
+    place = [x - 1 for x in sigma]
+    tables = [
+        _LiftsByLevelDicts(c, top, mv, b.e, place)
+        for c, top in tops.items()
+        if is_finite(b.e) or 0 < top < r
+    ]
+    rows_by_slot = [None] * r
+    for x, (floor, extras) in zip(place, _core_pair(tops, lo, b.e, r)._beadsets):
+        rows_by_slot[x] = _RowsByBeadSets(floor, extras)
+    for groups in _tally_combinations(tables, mv):
+        for pick in product(*groups):
+            changes = zip(*pick) if pick else [()] * r
+            yield tuple(map(getitem, rows_by_slot, changes))

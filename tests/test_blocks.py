@@ -9,6 +9,7 @@ from akblocks.blocks import (
     BlockId,
     BudgetExceeded,
     CartanData,
+    _block_core,
     _check_budget,
     _member_stream,
     _pairing,
@@ -22,13 +23,14 @@ from akblocks.blocks import (
     weyl_sigma,
 )
 from akblocks.classify import block_moving_vector, derived_equivalent_weight1, repr_type
-from akblocks.moves import core
+from akblocks.moves import _core_charges, _core_pair, core
 from akblocks.partitions import INFINITY, count_multipartitions, in_A, permute, permute_charge
 from oracles import (
     alpha_pairing_pairwise,
     block_members_by_filter,
     blocks_by_filter,
     defect_pairwise,
+    member_stream_by_level_dicts,
     orbit_reachable_by_bfs,
     tally_residues,
     witness_by_member_scan,
@@ -232,6 +234,52 @@ def test_member_stream_outgrows_the_recursion_limit():
         (((2,), (1,), ()), (0, 1500, 0), INFINITY),
     ):
         _assert_stream_matches_filter(block_id(AbacusPair(mp, charge, e)))
+
+
+def _sweep_and_grid_blocks(desk_sweep):
+    blocks = [bid for key, grouped in desk_sweep.items() if key != "elapsed" for bid in grouped]
+    for e in (2, 4, 5, INFINITY):
+        for r, charges in GRID_CHARGES.items():
+            for charge in charges:
+                for n in range(9 if r < 5 else 7):
+                    blocks.extend(blocks_by_filter(e, charge, n))
+    return blocks
+
+
+def test_member_stream_keeps_the_order_of_its_earlier_builders(desk_sweep):
+    """The stream grows each lift from its parent's per-row change sets and
+    each member row from the core row's bead list.  It yields the members
+    of its earlier builders (a level dict copied for every lift, every row
+    rebuilt as a set and decoded by row_from_beads) in the same order, on
+    the desk sweep and on the grid of raw, unsorted and negative charges;
+    the witness search reads the members in this order."""
+    blocks = _sweep_and_grid_blocks(desk_sweep)
+    for bid in blocks:
+        assert list(_member_stream(bid)) == list(member_stream_by_level_dicts(bid)), bid
+    assert len(blocks) == 2577 + 3307
+
+
+def test_core_charges_in_closed_form(desk_sweep):
+    """The block core's charges, read off the tops, are those of the core
+    pair built row by row: sum_c (top_c + x - 1) // r in row x with finite
+    e, and lo plus the number of tops above r - x with infinite e.  On the
+    desk sweep's blocks and on random pairs with raw multicharges."""
+    rng = random.Random(2024)
+    blocks = [bid for key, grouped in desk_sweep.items() if key != "elapsed" for bid in grouped]
+    for _ in range(2000):
+        r = rng.randint(1, 5)
+        e = rng.choice((2, 3, 4, 5, 7, INFINITY))
+        mp = tuple(
+            tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True))
+            for _ in range(r)
+        )
+        blocks.append(block_id(AbacusPair(mp, tuple(rng.randint(-20, 20) for _ in range(r)), e)))
+    for bid in blocks:
+        block = _block_core(bid)
+        assert block is not None, bid
+        _, _, tops, lo, _ = block
+        r = len(bid.charge)
+        assert _core_charges(tops, lo, bid.e, r) == _core_pair(tops, lo, bid.e, r).charge, bid
 
 
 def test_finite_blocks_have_no_witness_on_sweep_and_grid(desk_sweep):

@@ -12,10 +12,12 @@ from akblocks.abacus import AbacusPair, dual, is_complete
 from akblocks.blocks import (
     _Lifts,
     _member_stream,
+    alpha_pairing,
     block_id,
     defect,
     enumerate_block_members,
     normalize_multicharge,
+    weyl_sigma,
 )
 from akblocks.classify import (
     _CONSTRUCTIONS,
@@ -677,7 +679,8 @@ def test_first_member_of_the_quickstart_block_builds_few_lifts(monkeypatch):
     monkeypatch.setattr("akblocks.blocks._Lifts", lambda *args: tables.append(_Lifts(*args)) or tables[-1])
 
     def built():
-        return [sum(len(group) for groups in table.values() for group in groups.values()) for table in tables]
+        # a tally's lifts are filed by row, so row 0's entry has one set per lift
+        return [sum(len(by_row[0]) for groups in table.values() for by_row in groups.values()) for table in tables]
 
     bid = block_id(AbacusPair(((2, 1), (3, 2), (4, 3, 1)), (0, 2, 1), 3))
     stream = _member_stream(bid)
@@ -697,3 +700,73 @@ def test_find_incomparable_pair_gates_before_any_lift_table(monkeypatch):
         find_incomparable_pair(bid, enumeration_budget=3)
     assert err.value.estimate == 9 and lifts == []
     assert find_incomparable_pair(bid) is None and lifts
+
+
+def test_repr_type_reads_982_stream_members_on_sweep(desk_sweep, monkeypatch):
+    """The witness search reads the member stream in its order, so the
+    order sets its cost: run on each desk-sweep block's first-seen pair,
+    repr_type reads 982 stream members in all."""
+    read = []
+
+    def counted(b, budget):
+        for mp in _member_stream(b, budget):
+            read.append(mp)
+            yield mp
+
+    monkeypatch.setattr("akblocks.classify._member_stream", counted)
+    blocks = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        e, r, charge = key
+        for entries in grouped.values():
+            repr_type(AbacusPair(entries[0][0], charge, e))
+            blocks += 1
+    assert blocks == 2577 and len(read) == 982
+
+
+def _verdict_fields(p):
+    rep = repr_type(p, witness_budget=0)
+    return rep.verdict, rep.weight, rep.detail_kind, rep.detail_edges, rep.detail_degree
+
+
+def test_repr_type_is_constant_on_weyl_orbits():
+    """Blocks of one affine Weyl orbit are derived equivalent
+    (Chuang-Rouquier), hence stably equivalent (Rickard), so they share
+    their representation type (Krause), and at weight one their Brauer
+    trees have the same number of edges.  From every block of n <= 4 over
+    fifteen seeded (e, multicharge) settings, one member is reflected by
+    weyl_sigma along every index that raises n, to depth 3 and n <= 40;
+    each reflected block keeps the verdict, weight and detail fields."""
+    rng = random.Random(6)
+    kinds = {}  # detail_kind (None for infinite type) -> reflected blocks checked
+    for e in (2, 3, 4, 5, INFINITY):
+        for r in (2, 3, 4):
+            charge = tuple(rng.randrange(e if e != INFINITY else 4) for _ in range(r))
+            first = {}
+            for n in range(5):
+                for mp in multipartitions_of(n, r):
+                    first.setdefault(block_id(AbacusPair(mp, charge, e)), AbacusPair(mp, charge, e))
+            for source in first.values():
+                expected = _verdict_fields(source)
+                seen, frontier = {block_id(source)}, [source]
+                for _ in range(3):
+                    reflected = []
+                    for p in frontier:
+                        b = block_id(p)
+                        if e == INFINITY:
+                            support = set(charge) | {f for f, _ in b.content}
+                            indices = range(min(support) - 1, max(support) + 2)
+                        else:
+                            indices = range(e)
+                        for j in indices:
+                            if 0 < alpha_pairing(b, j) <= 40 - p.n:
+                                q = weyl_sigma(p, j)
+                                if block_id(q) not in seen:
+                                    seen.add(block_id(q))
+                                    reflected.append(q)
+                    for q in reflected:
+                        assert _verdict_fields(q) == expected, (source, q)
+                        kinds[expected[2]] = kinds.get(expected[2], 0) + 1
+                    frontier = reflected
+    assert kinds == {"simple": 2844, "brauer_line": 1249, "truncated_polynomial": 81, None: 1885}

@@ -9,7 +9,13 @@ workload, trace flag and side.  Each metric gets its median, its quartiles
 (``statistics.quantiles(..., method="inclusive")``) and their distance, the
 IQR.  Untraced metrics that ``BENCHMARK.json`` lists also get a pair count:
 of the seeds run on both sides, on how many the change reads better; the
-``digest`` entry counts the seeds whose answer digests agree.
+``digest`` entry counts the seeds whose answer digests agree.  Each such
+metric also gets a ``gain`` entry that applies the rule for claiming a
+gain: ``wins`` (pairs the change reads better; ties count for neither),
+``median_delta`` (the change's median less the parent's), ``parent_iqr``,
+and ``holds``, true when at least ten pairs ran, the change won at least
+nine tenths of them, and the median moved in the better direction by
+more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -54,16 +60,27 @@ def summarize(runs: list, better: dict) -> dict:
         if trace == "trace0" and {"parent", "change"} <= sides.keys():
             by_seed = {side: {run["seed"]: run["metrics"] for run in sides[side]} for side in ("parent", "change")}
             seeds = sorted(by_seed["parent"].keys() & by_seed["change"].keys())
-            wins = {}
+            wins, gain = {}, {}
             for name, direction in better.items():
                 sign = 1 if direction == "higher" else -1
                 pairs = [(by_seed["parent"][s].get(name), by_seed["change"][s].get(name)) for s in seeds]
                 pairs = [(p["value"], c["value"]) for p, c in pairs if p and c]
                 if pairs:
-                    wins[name] = {"change_better": sum(sign * (c - p) > 0 for p, c in pairs), "pairs": len(pairs)}
+                    won = sum(sign * (c - p) > 0 for p, c in pairs)
+                    wins[name] = {"change_better": won, "pairs": len(pairs)}
+                    parent, change = entry["parent"]["metrics"][name], entry["change"]["metrics"][name]
+                    delta = change["median"] - parent["median"]
+                    gain[name] = {
+                        "wins": won,
+                        "pairs": len(pairs),
+                        "median_delta": delta,
+                        "parent_iqr": parent["iqr"],
+                        "holds": len(pairs) >= 10 and 10 * won >= 9 * len(pairs) and sign * delta > parent["iqr"],
+                    }
             digests = {side: {run["seed"]: run.get("digest") for run in sides[side]} for side in ("parent", "change")}
             wins["digest"] = {"same": sum(digests["parent"][s] == digests["change"][s] for s in seeds), "pairs": len(seeds)}
             entry["pairs"] = wins
+            entry["gain"] = gain
         out.setdefault(workload, {})[trace] = entry
     return out
 
