@@ -13,7 +13,7 @@ dominant one.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import chain, product
+from itertools import chain, product, starmap
 from operator import sub
 from typing import NamedTuple
 
@@ -230,13 +230,11 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
     tables = [
         _Lifts(c, top, mv, b.e, place) for c, top in tops.items() if is_finite(b.e) or 0 < top < r
     ]
-    rows_by_slot = [None] * r
-    for x, (floor, extras) in zip(place, _core_pair(tops, lo, b.e, r)._beadsets):
-        rows_by_slot[x] = _RowComponents(floor, extras)
+    rows = [_RowComponents(*row).__getitem__ for row in _core_pair(tops, lo, b.e, r)._beadsets]
+    rows = [rows[i] for i in sorted(range(r), key=place.__getitem__)]
     for groups in _tally_combinations(tables, mv):
         # each row's product of its changes in the groups; no groups: the core alone
-        columns = list(zip(*groups)) or [()] * r
-        yield from zip(*[map(row.__getitem__, product(*cols)) for row, cols in zip(rows_by_slot, columns)])
+        yield from zip(*map(map, rows, starmap(product, zip(*groups) if groups else [()] * r)))
 
 
 class _Lifts(dict):
@@ -367,10 +365,9 @@ class _RowComponents(dict):
                 beads.remove(col)
             else:
                 insort(beads, col)
-        # the j-th bead from the right, b_j, gives the part b_j + j - charge
-        s = self.low + len(beads)
-        parts = tuple(map(sub, reversed(beads), range(s - 1, s - 1 - len(beads), -1)))
-        comp = self[changes] = parts[: len(parts) - parts.count(0)]
+        # a bead's part is the number of holes below it; zero parts are dropped
+        holes = map(sub, reversed(beads), range(low + len(beads) - 1, low - 1, -1))
+        comp = self[changes] = tuple(filter(None, holes))
         return comp
 
 
