@@ -230,8 +230,9 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
     tables = [
         _Lifts(c, top, mv, b.e, place) for c, top in tops.items() if is_finite(b.e) or 0 < top < r
     ]
-    rows = [_RowComponents(*row).__getitem__ for row in _core_pair(tops, lo, b.e, r)._beadsets]
-    rows = [rows[i] for i in sorted(range(r), key=place.__getitem__)]
+    rows = [None] * r
+    for x, row in zip(place, _core_pair(tops, lo, b.e, r)._beadsets):
+        rows[x] = _RowComponents(*row).__getitem__
     for groups in _tally_combinations(tables, mv):
         # each row's product of its changes in the groups; no groups: the core alone
         yield from zip(*map(map, rows, starmap(product, zip(*groups) if groups else [()] * r)))
@@ -248,8 +249,7 @@ class _Lifts(dict):
     parent with the one or two rows it touches replaced, equal sets are
     one object, and a tally's entry x lists row x's set of each lift.
     With infinite e the subabacus is one column of r levels, so pi fits
-    in a top x (r - top) box.
-    """
+    in a top x (r - top) box."""
 
     def __init__(self, c: int, top: int, mv: tuple, e, place: list):
         super().__init__()
@@ -291,7 +291,7 @@ class _Lifts(dict):
                     row = child[y] - {(dst, -1)} if (dst, -1) in child[y] else child[y] | {(dst, 1)}
                     child[y] = changes.setdefault(row, row)
                     waiting.setdefault(s + part, []).append((i, part, tuple(grown), tuple(child)))
-            self[s] = {tally: tuple(zip(*lifts)) for tally, lifts in groups.items()}
+            self[s] = dict(zip(groups, map(tuple, starmap(zip, groups.values()))))
         return self[size]
 
 

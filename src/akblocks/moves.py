@@ -323,11 +323,14 @@ def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
 
 
 def _core_charges(tops: dict, lo: int, e, r: int) -> tuple:
-    """:func:`_core_pair`'s charges: row x's is sum_c (top_c + x - 1) // r
-    with finite e, else lo plus the number of tops above r - x."""
+    """:func:`_core_pair`'s charges: sum_c (top_c + x - 1) // r in row x with
+    finite e (the tops mod r above r - x, plus sum_c top_c // r), else lo
+    plus the tops above r - x."""
     if is_finite(e):
-        return tuple(sum((top + x - 1) // r for top in tops.values()) for x in range(1, r + 1))
-    return tuple(lo + sum(top > r - x for top in tops.values()) for x in range(1, r + 1))
+        base, v = sum(top // r for top in tops.values()), sorted(top % r for top in tops.values())
+    else:
+        base, v = lo, sorted(tops.values())
+    return tuple(base + len(v) - bisect_right(v, r - x) for x in range(1, r + 1))
 
 
 def _core_paths(a: AbacusPair):
