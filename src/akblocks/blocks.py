@@ -124,19 +124,11 @@ def weyl_sigma(a: AbacusPair, j: int) -> AbacusPair:
     """
     (j,) = check_integers((j,), "reflection index")
     e = a.e
+    up, down = residue(j, e), residue(j - 1, e)
 
     def partner(col: int) -> int:
-        if is_finite(e):
-            if col % e == residue(j, e):
-                return col - 1
-            if col % e == residue(j - 1, e):
-                return col + 1
-            return col
-        if col == j:
-            return j - 1
-        if col == j - 1:
-            return j
-        return col
+        f = residue(col, e)
+        return col - 1 if f == up else col + 1 if f == down else col
 
     # partner moves a column by at most one: every column below floor - 1
     # stays beaded, and one from floor - 1 on is beaded iff its partner,
@@ -216,7 +208,7 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
     yielded as it is built; the budget gate runs at the first ``next()``,
     before any lift table is built, and each table builds a size of lift
     only when the tally search first asks for it."""
-    from .moves import _core_pair
+    from .moves import _core_rows
 
     r = len(b.charge)
     _check_budget(b.n, r, budget)
@@ -231,7 +223,7 @@ def _member_stream(b: BlockId, budget: int = DEFAULT_ENUMERATION_BUDGET):
         _Lifts(c, top, mv, b.e, place) for c, top in tops.items() if is_finite(b.e) or 0 < top < r
     ]
     rows = [None] * r
-    for x, row in zip(place, _core_pair(tops, lo, b.e, r)._beadsets):
+    for x, row in zip(place, _core_rows(tops, lo, b.e, r)):
         rows[x] = _RowComponents(*row).__getitem__
     for groups in _tally_combinations(tables, mv):
         # each row's product of its changes in the groups; no groups: the core alone

@@ -11,11 +11,14 @@ component permutation.
 
 The verdict comes first: it needs only the block's core and moving
 vector, O(parts + r*e) with finite e, and a block of finite type has no
-witness, so the search runs only on blocks of infinite type.  Such pairs
-are first built by four pattern constructions on one seed abacus.  Each
-construction starts from a bead over a hole: a column where a row
-carries a bead and a later row has none (the next row, with row r + 1
-read as row 1 shifted by e, or any later row for
+witness, so the search runs only on blocks of infinite type.  It runs
+once, over the normalized multicharge: a given member is permuted to it
+and a witness found is carried back.  A block of rank one has no
+witness, as a witness needs two rows, so no member is built for it.
+Such pairs are first built by four pattern constructions on one seed
+abacus.  Each construction starts from a bead over a hole: a column
+where a row carries a bead and a later row has none (the next row, with
+row r + 1 read as row 1 shifted by e, or any later row for
 ``construct_four_rows_one_column``).  In a complete abacus, such as the
 block's core, each row's beads lie in the next row's, so it has no bead
 over a hole, and neither has its dual.  The seeds are therefore the
@@ -367,17 +370,6 @@ def _transport_witness(w, sigma, charge, charge_norm, e, b: BlockId):
     return _witness_from(AbacusPair._of(mu, charge, e), AbacusPair._of(nu, charge, e), coords, b)
 
 
-def _witness_by_construction(member: AbacusPair, b: BlockId):
-    if not in_Abar(b.charge, b.e):
-        charge_norm, sigma = normalize_multicharge(b.charge, b.e)
-        member_n = AbacusPair._of(permute(member.mp, sigma), charge_norm, b.e)
-        w = _witness_by_construction(member_n, block_id(member_n))
-        if w is None:
-            return None
-        return _transport_witness(w, sigma, b.charge, charge_norm, b.e, b)
-    return _constructed_witness(member, b)
-
-
 def _constructed_witness(member: AbacusPair, b: BlockId):
     """Run the pattern constructions on the member, then on its dual; the
     member lies in ``b`` over a normalized multicharge.
@@ -437,11 +429,10 @@ def find_incomparable_pair(
     finite type, or with no members, has no witness, so None is returned
     without building a member or checking the enumeration budget (a
     given member outside the block raises ValueError before that).
-    Otherwise pattern constructions run on a member (the given one, else
-    the first the member stream builds), then on its dual, then on each
-    other member in stream order, and an exhaustive pairwise scan of the
-    members (capped at ``pair_budget`` comparisons) is the last step.
-    Returns None when both strategies exhaust."""
+    Otherwise :func:`_witness_search` runs once over the normalized
+    multicharge, seeded with the given member permuted to it, and a
+    witness found there is carried back to the block's own multicharge.
+    Returns None when the search exhausts."""
     seed = None if member is None else AbacusPair(member, b.charge, b.e)
     if seed is not None and block_id(seed) != b:
         raise ValueError("the given member does not lie in the block")
@@ -450,31 +441,35 @@ def find_incomparable_pair(
     block = _block_core(b) if defect(b) > 1 else None
     if block is None:
         return None
-    charge, *_, mv = block
+    charge, sigma, *_, mv = block
     if _finite_detail(mv, charge, b.e, len(charge)) is not None:
         return None
-    stream = None
-    if seed is None:
-        stream = _member_stream(b, enumeration_budget)
-        first = next(stream, None)
-        if first is None:
-            return None
-        seed, stream = AbacusPair._of(first, b.charge, b.e), chain((first,), stream)
-    return _witness_search(seed, b, pair_budget, enumeration_budget, stream)
+    if seed is not None:
+        seed = AbacusPair._of(permute(seed.mp, sigma), charge, b.e)
+    w = _witness_search(b._replace(charge=charge), seed, pair_budget, enumeration_budget)
+    if w is None or charge == b.charge:
+        return w
+    return _transport_witness(w, sigma, b.charge, charge, b.e, b)
 
 
-def _witness_search(seed: AbacusPair, b: BlockId, pair_budget: int, enumeration_budget: int, stream=None):
+def _witness_search(b: BlockId, seed, pair_budget: int, enumeration_budget: int):
     """The constructions on a member ``seed`` of ``b`` and its dual, then
-    on each other member of the block's stream (opened only now, unless
-    given), then the scan over every member read, sorted."""
-    witness = _witness_by_construction(seed, b)
-    if witness:
-        return witness
+    on each other member of the block's stream (opened only now), then
+    the scan over every member read, sorted; without a seed, each member
+    of the stream in turn.  ``b`` lies over a normalized multicharge, and
+    a block of rank one has no witness, as a witness needs two rows: None
+    is returned with no stream opened."""
+    if len(b.charge) < 2:
+        return None
+    if seed is not None:
+        witness = _constructed_witness(seed, b)
+        if witness:
+            return witness
     members = []
-    for mp in _member_stream(b, enumeration_budget) if stream is None else stream:
+    for mp in _member_stream(b, enumeration_budget):
         members.append(mp)
-        if mp != seed.mp:
-            witness = _witness_by_construction(AbacusPair._of(mp, b.charge, b.e), b)
+        if seed is None or mp != seed.mp:
+            witness = _constructed_witness(AbacusPair._of(mp, b.charge, b.e), b)
             if witness:
                 return witness
     return _witness_by_scan(sorted(members), b.charge, b, pair_budget)
@@ -571,9 +566,9 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
     if detail is not None:
         return ReprTypeReport(verdict="finite", **detail, **report)
     witness = None
-    if q.r >= 2 and witness_budget > 0:
+    if witness_budget > 0:
         try:
-            witness = _witness_search(q, block_id(q), witness_budget, DEFAULT_ENUMERATION_BUDGET)
+            witness = _witness_search(block_id(q), q, witness_budget, DEFAULT_ENUMERATION_BUDGET)
         except BudgetExceeded:
             pass
     return ReprTypeReport(verdict="infinite", witness=witness, **report)

@@ -19,13 +19,8 @@ and each command imports what it runs once its job is parsed: ``dual``,
 ``brauer``; ``core``, ``mv`` and ``rotate`` ``moves``; ``block-id``,
 ``defect`` and ``sigma`` ``blocks`` alone; ``classify``,
 ``schur-classify``, ``witness``, ``enumerate`` and ``derived-class``
-``classify``.  No module imports ``dataclasses``.  Medians of 25
-processes on a shared 2-vCPU Xeon, Python 3.11, before (all modules and
-``dataclasses`` loaded) and after: ``dual`` 144 -> 94 ms, ``core``
-141 -> 98 ms, ``classify`` 174 -> 154 ms without a bytecode cache
-(``PYTHONDONTWRITEBYTECODE=1``), 100 -> 74, 107 -> 87 and 130 -> 89 ms
-with one; ``python -c pass`` took 65 ms.  Operation sets are written out
-in chunks as they are read.
+``classify``.  No module imports ``dataclasses``.  Operation sets are
+written out in chunks as they are read.
 """
 
 from __future__ import annotations
@@ -357,8 +352,6 @@ def _cmd_witness(job, args):
 
 
 def _cmd_sigma(job, args):
-    if args.param is None:
-        raise JobError("sigma needs a residue J before the job JSON")
     a = _pair_from_job(job)
     from . import blocks
     return _pair_json(blocks.weyl_sigma(a, args.param))
@@ -374,8 +367,6 @@ def _cmd_dual(job, args):
 
 
 def _cmd_rotate(job, args):
-    if args.param is None:
-        raise JobError("rotate needs an amount I before the job JSON")
     a = _pair_from_job(job)
     from . import moves
     return _pair_json(moves.rotate_rows(a, args.param))
@@ -511,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, nargs=2, metavar=("LO", "HI"), default=None, help="render window"
     )
     parser.add_argument("--tsv", action="store_true", help="emit key/value TSV instead of JSON")
-    parser.add_argument("--ascii", action="store_true", help="emit plain text where sensible")
+    parser.add_argument("--ascii", action="store_true", default=None, help="emit render's rows as plain text")
     return parser
 
 
@@ -521,7 +512,7 @@ def _diag(code: str, message: str):
 
 def _split_args(args) -> dict:
     """Distribute the raw positionals into param / line_params / job text."""
-    for flag, only in (("n", "enumerate"), ("window", "render")):
+    for flag, only in (("n", "enumerate"), ("window", "render"), ("ascii", "render")):
         if getattr(args, flag) is not None and args.command != only:
             raise JobError(f"--{flag} applies only to {only}, not {args.command}")
     raw = list(args.args)
@@ -556,9 +547,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _diag("budget", str(exc))
         return 3
-    except JobError as exc:
-        _diag("parse", str(exc))
-        return 2
     except (ValueError, TypeError) as exc:
         _diag("parse", str(exc))
         return 2

@@ -289,9 +289,9 @@ def moving_vector_between(a: AbacusPair, b: AbacusPair) -> tuple:
     return _vector_from_charges(a.charge, b.charge, w, a.e)
 
 
-def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
-    """The complete abacus whose subabacus c fills exactly the levels
-    below ``tops[c]``, built row by row from the tops.
+def _core_rows(tops: dict, lo: int, e, r: int) -> list:
+    """The (first hole, beads above it) rows of the complete abacus whose
+    subabacus c fills exactly the levels below ``tops[c]``, bottom to top.
 
     With finite e, ``tops`` lists c = 0, ..., e - 1 in order.  Level
     k*r + (r - row) is column k*e + c, so row ``row`` holds column k*e + c
@@ -299,9 +299,7 @@ def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
     first hole in class c.  With infinite e, ``tops`` lists the columns
     from ``lo`` on, each its own subabacus: row ``row`` holds column c iff
     r - row < top, every column left of them is full and every one right
-    of them empty.  Each row is decoded from its first hole: its charge
-    is that column plus the number of beads right of it, and its j-th
-    part is the j-th bead from the right plus j minus the charge.
+    of them empty.
     """
     rows = []
     if is_finite(e):
@@ -314,8 +312,16 @@ def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
         for u in range(r - 1, -1, -1):
             floor = next((c for c, top in tops.items() if top <= u), lo + len(tops))
             rows.append((floor, [c for c, top in reversed(tops.items()) if c > floor and u < top]))
+    return rows
+
+
+def _core_pair(tops: dict, lo: int, e, r: int) -> AbacusPair:
+    """The complete abacus of :func:`_core_rows`.  Each row is decoded
+    from its first hole: its charge is that column plus the number of
+    beads right of it, and its j-th part is the j-th bead from the right
+    plus j minus the charge."""
     mp, charge = [], []
-    for floor, beads in rows:
+    for floor, beads in _core_rows(tops, lo, e, r):
         s = floor + len(beads)
         mp.append(tuple(map(add, beads, range(1 - s, len(beads) + 1 - s))))
         charge.append(s)
@@ -495,12 +501,6 @@ def _construct_last_zero(s: tuple, s_star: tuple, m: tuple, e) -> Multipartition
     r = len(s)
     if r == 1:
         return ((),)
-    if r == 2:
-        # peel the top m_1 beads of row 2 of the empty-core abacus into row 1
-        moved = [s_star[1] - x for x in range(1, m[0] + 1)]
-        p1, u1 = row_from_beads(s_star[0], moved)
-        assert u1 == s[0]
-        return (p1, ())
     j = next((jj for jj in range(r) if s[0] <= s_star[jj]), None)
     if j is None:
         raise ValueError("no admissible slot found; charge preconditions violated")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import accumulate, chain, count, islice, repeat
-from operator import add, mul
+from operator import add, le, mul
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = math.inf
@@ -272,25 +272,17 @@ def count_standard_tableaux(m: Multipartition) -> int:
 
 
 def in_A(charge: Multicharge, e) -> bool:
-    """0 <= s_j - s_i < e for all i < j."""
+    """0 <= s_j - s_i < e for all i < j: weakly increasing, and the last
+    entry less than e above the first."""
     check_quantum_char(e)
-    r = len(charge)
-    return all(
-        0 <= charge[j] - charge[i] and (e == INFINITY or charge[j] - charge[i] < e)
-        for i in range(r)
-        for j in range(i + 1, r)
-    )
+    return all(map(le, charge, charge[1:])) and (not charge or charge[-1] - charge[0] < e)
 
 
 def in_Abar(charge: Multicharge, e) -> bool:
-    """0 <= s_j - s_i <= e for all i < j."""
+    """0 <= s_j - s_i <= e for all i < j: weakly increasing, and the last
+    entry at most e above the first."""
     check_quantum_char(e)
-    r = len(charge)
-    return all(
-        0 <= charge[j] - charge[i] and (e == INFINITY or charge[j] - charge[i] <= e)
-        for i in range(r)
-        for j in range(i + 1, r)
-    )
+    return all(map(le, charge, charge[1:])) and (not charge or charge[-1] - charge[0] <= e)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

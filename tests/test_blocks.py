@@ -23,7 +23,7 @@ from akblocks.blocks import (
     weyl_sigma,
 )
 from akblocks.classify import block_moving_vector, derived_equivalent_weight1, repr_type
-from akblocks.moves import _core_charges, _core_pair, core
+from akblocks.moves import _core_charges, _core_pair, _core_rows, core
 from akblocks.partitions import INFINITY, count_multipartitions, in_A, permute, permute_charge
 from oracles import (
     alpha_pairing_pairwise,
@@ -262,8 +262,10 @@ def test_member_stream_keeps_the_order_of_its_earlier_builders(desk_sweep):
 def test_core_charges_in_closed_form(desk_sweep):
     """The block core's charges, read off the tops, are those of the core
     pair built row by row: sum_c (top_c + x - 1) // r in row x with finite
-    e, and lo plus the number of tops above r - x with infinite e.  On the
-    desk sweep's blocks and on random pairs with raw multicharges."""
+    e, and lo plus the number of tops above r - x with infinite e.  The
+    (first hole, beads) rows the member stream starts from are the core
+    pair's bead rows.  On the desk sweep's blocks and on random pairs with
+    raw multicharges."""
     rng = random.Random(2024)
     blocks = [bid for key, grouped in desk_sweep.items() if key != "elapsed" for bid in grouped]
     for _ in range(2000):
@@ -279,7 +281,10 @@ def test_core_charges_in_closed_form(desk_sweep):
         assert block is not None, bid
         _, _, tops, lo, _ = block
         r = len(bid.charge)
-        assert _core_charges(tops, lo, bid.e, r) == _core_pair(tops, lo, bid.e, r).charge, bid
+        core_pair = _core_pair(tops, lo, bid.e, r)
+        assert _core_charges(tops, lo, bid.e, r) == core_pair.charge, bid
+        rows = _core_rows(tops, lo, bid.e, r)
+        assert [(f, set(x)) for f, x in rows] == [(f, set(x)) for f, x in core_pair._beadsets], bid
 
 
 def test_finite_blocks_have_no_witness_on_sweep_and_grid(desk_sweep):

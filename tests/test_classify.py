@@ -48,6 +48,7 @@ from akblocks.partitions import (
     permute,
 )
 from oracles import (
+    blocks_by_filter,
     cols_by_scan,
     constructed_witness_four_seeds,
     derived_equivalent_weight1_by_enumeration,
@@ -55,6 +56,7 @@ from oracles import (
     is_incomparable_witness_by_scan,
     row_diffs_by_scan,
     subabacus_moving_vector_by_ops,
+    witness_by_member_scan,
 )
 
 LAM332 = ((2, 1, 1), (2, 2, 1, 1), (3, 1, 1), (4, 3, 1, 1))
@@ -530,6 +532,59 @@ def test_witness_search_matches_four_seed_oracle_on_large_inputs():
             carried = _transport_witness(expected, rep.sigma, charge, rep.normalized_charge, e, raw)
             assert find_incomparable_pair(raw, member=mp) == carried is not None
     assert len(inputs) == 256 and infinite > 200
+
+
+RAW_CHARGES = (
+    (2, (3, -1, 0)),
+    (3, (5, 5, -2)),
+    (4, (-3, 6)),
+    (INFINITY, (2, -1, 0)),
+    (3, (4, -1)),
+    (2, (1, 0)),
+    (5, (7, 0)),
+    (INFINITY, (3, 0)),
+    (3, (2, -4, 1, 0)),
+)
+
+
+def test_find_incomparable_pair_on_raw_multicharges_matches_member_scan():
+    """Over a raw multicharge (unsorted, shifted, negative) the search runs
+    over the normalized block and carries its witness back.  On every block
+    of n <= 8 (r = 2), 6 (r = 3) and 5 (r = 4) of nine raw settings,
+    find_incomparable_pair without a member returns a witness valid for the
+    raw block exactly when the column-scan oracle finds one among the
+    ordered pairs of its members; at r = 2 the pairwise scan is often the
+    only finder."""
+    blocks = witnessed = witnessed_r2 = 0
+    for e, charge in RAW_CHARGES:
+        for n in range({2: 9, 3: 7, 4: 6}[len(charge)]):
+            for bid, members in blocks_by_filter(e, charge, n).items():
+                w = find_incomparable_pair(bid)
+                found = witness_by_member_scan(bid, members) is not None
+                assert (w is not None) == found, bid
+                if w is not None:
+                    _assert_valid_witness(w, bid)
+                    assert w.charge == charge
+                blocks += 1
+                witnessed += found
+                witnessed_r2 += found and len(charge) == 2
+    assert (blocks, witnessed, witnessed_r2) == (761, 117, 60)
+
+
+def test_rank_one_blocks_have_no_witness_and_open_no_stream(monkeypatch):
+    """A witness needs two distinct rows, so on a block of rank one both
+    find_incomparable_pair and repr_type answer without a search: no member
+    stream is opened and the enumeration budget is never checked, although
+    p_1(90) passes the default budget."""
+    streams = []
+    monkeypatch.setattr("akblocks.classify._member_stream", lambda b, budget: streams.append(b) or _member_stream(b, budget))
+    for p in (AbacusPair(((30, 30, 30),), (0,), 3), AbacusPair(((4, 4),), (-5,), 2)):
+        bid = block_id(p)
+        assert find_incomparable_pair(bid, enumeration_budget=0) is None
+        assert find_incomparable_pair(bid, member=p.mp, enumeration_budget=0) is None
+        rep = repr_type(p)
+        assert rep.verdict == "infinite" and rep.witness is None
+    assert streams == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -215,6 +215,15 @@ def test_witness_on_a_finite_block_needs_no_budget(capsys, monkeypatch):
     assert code == 3 and json.loads(err) == {"error": "budget", "detail": "estimated 3 candidates exceeds budget 1"}
 
 
+def test_witness_on_a_rank_one_block_needs_no_budget(capsys):
+    """A witness needs two distinct rows, so `witness` on a block of rank
+    one answers found: false (exit 0) without building a member, although
+    p_1(90) exceeds the default budget."""
+    job = {"e": 3, "multicharge": [0], "multipartition": [[30, 30, 30]]}
+    code, out, err = run(capsys, "witness", json.dumps(job))
+    assert (code, json.loads(out), err) == (0, {"found": False}, "")
+
+
 @pytest.mark.parametrize(
     "job",
     [
@@ -384,8 +393,9 @@ def test_enumerate_takes_moving_vectors_over_normalized_multicharge(capsys):
         (["render", json.dumps(PAIR41), "--window", "1"], "argument --window: expected 2 arguments"),
         (["brauer-line", "2", "--n", "5", "--window", "1", "2"], "--n applies only to enumerate"),
         (["dual", json.dumps(PAIR41), "--n", "7"], "--n applies only to enumerate"),
+        (["core", json.dumps(PAIR41), "--ascii"], "--ascii applies only to render"),
     ],
-    ids=["n", "command", "window", "n-on-brauer-line", "n-on-dual"],
+    ids=["n", "command", "window", "n-on-brauer-line", "n-on-dual", "ascii-on-core"],
 )
 def test_usage_errors_are_json_diagnostics(capsys, argv, detail):
     """A command line argparse rejects ends like any other parse error: main
@@ -398,13 +408,17 @@ def test_usage_errors_are_json_diagnostics(capsys, argv, detail):
 
 
 def test_n_and_window_only_where_they_apply(capsys):
-    """--n belongs to enumerate and --window to render; on any other
-    command each is a parse error (exit 2), not silently dropped."""
+    """--n belongs to enumerate, --window and --ascii to render; on any
+    other command each is a parse error (exit 2), not silently dropped."""
     for command in sorted(COMMANDS):
         positionals = {"brauer-line": ["2"], "sigma": ["1"], "rotate": ["1"]}.get(command, [])
         if command != "brauer-line":
             positionals.append(json.dumps(PAIR41))
-        for flag, values, only in (("--n", ["2"], "enumerate"), ("--window", ["-2", "1"], "render")):
+        for flag, values, only in (
+            ("--n", ["2"], "enumerate"),
+            ("--window", ["-2", "1"], "render"),
+            ("--ascii", [], "render"),
+        ):
             code, out, err = run(capsys, command, *positionals, flag, *values)
             if command == only:
                 assert code == 0, err

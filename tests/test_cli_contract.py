@@ -11,7 +11,8 @@ values, missing fields, unreachable targets), wrong-typed and
 huge-valued: charge spreads up to 10^6 and ``--n`` up to 10^9.  Command
 lines are also drawn broken (a non-integer ``--n``, an unknown command
 or option, a short ``--window``, a missing or extra positional, an
-``--n`` off ``enumerate`` or a ``--window`` off ``render``), which must
+``--n`` off ``enumerate`` or a ``--window`` off ``render``; an example
+adds an ``--ascii`` off ``render``), which must
 end in exit 2 with one JSON diagnostic like any other parse error.
 
 Spreads of 10^6 are drawn with finite e only.  With infinite e the level
@@ -211,6 +212,7 @@ WEIGHT_ONE = {"e": 4, "multicharge": [0, 1, 2], "multipartition": [[], [1], [1]]
 @example((["brauer-line", "4", "3", "3", "1"], "100000", True))
 @example((["brauer-line", "2", "--n", "5", "--window", "1", "2"], "100000", True))
 @example((["dual", json.dumps(WEIGHT_ONE), "--n", "7"], "100000", True))
+@example((["core", json.dumps(WEIGHT_ONE), "--ascii"], "100000", True))
 def test_cli_contract(case):
     argv, budget, rejected = case
     start = time.perf_counter()
