@@ -13,14 +13,12 @@ Exit codes: 0 success, 2 parse/validation error, 3 budget exhaustion
 a ``render`` window or a ``brauer-line`` cell chain).
 
 Start-up.  A process runs one job and spends most of its time loading
-code, so this module imports only ``abacus`` and ``partitions`` up front
-and each command imports what it runs once its job is parsed: ``dual``,
-``uglov``, ``render`` and parse errors nothing more; ``brauer-line``
-``brauer``; ``core``, ``mv`` and ``rotate`` ``moves``; ``block-id``,
-``defect`` and ``sigma`` ``blocks`` alone; ``classify``,
-``schur-classify``, ``witness``, ``enumerate`` and ``derived-class``
-``classify``.  No module imports ``dataclasses``.  Operation sets are
-written out in chunks as they are read.
+code, so this module imports only ``abacus`` and ``partitions`` up front.
+``COMMANDS`` gives each command its input form and its compute: ``main``
+decodes the positionals once by form, and each compute imports what it
+runs once it is called (``tests/test_imports.py`` pins what each command
+loads).  No module imports ``dataclasses``.  Operation sets are written
+out in chunks as they are read.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .partitions import (
     _check_budget,
     check_integers,
     multipartitions_of,
-    permute,
 )
 
 SCHEMAS = {
@@ -126,16 +123,12 @@ SCHEMAS = {
 }
 
 
-class JobError(ValueError):
-    pass
-
-
 def _decode_e(raw):
     if raw == "inf":
         return INFINITY
     if isinstance(raw, int) and raw >= 2:
         return raw
-    raise JobError(f"e must be an integer >= 2 or \"inf\", got {raw!r}")
+    raise ValueError(f"e must be an integer >= 2 or \"inf\", got {raw!r}")
 
 
 def _encode_e(e):
@@ -146,24 +139,21 @@ def _load_job(text: str) -> dict:
     try:
         job = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise JobError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(job, dict):
-        raise JobError("the job must be a JSON object")
+        raise ValueError("the job must be a JSON object")
     return job
 
 
 def _pair_from_job(job: dict, mp_key="multipartition", charge_key="multicharge") -> AbacusPair:
     for key in ("e", charge_key, mp_key):
         if key not in job:
-            raise JobError(f"missing field {key!r}")
-    try:
-        return AbacusPair(
-            tuple(tuple(c) for c in job[mp_key]),
-            tuple(job[charge_key]),
-            _decode_e(job["e"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise JobError(str(exc)) from exc
+            raise ValueError(f"missing field {key!r}")
+    return AbacusPair(
+        tuple(tuple(c) for c in job[mp_key]),
+        tuple(job[charge_key]),
+        _decode_e(job["e"]),
+    )
 
 
 def _pair_json(a: AbacusPair) -> dict:
@@ -246,7 +236,7 @@ def _budget() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise JobError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
+        raise ValueError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
 
 
 def _check_size(size: int, what: str = "operation set of {} moves") -> None:
@@ -256,8 +246,7 @@ def _check_size(size: int, what: str = "operation set of {} moves") -> None:
         raise BudgetExceeded(size, budget, what)
 
 
-def _cmd_core(job, args):
-    a = _pair_from_job(job)
+def _cmd_core(a, args):
     from . import moves
     # the vector's sum is the op count, known before any bead path is listed
     _check_size(sum(moves.core_and_vector(a)[1]))
@@ -278,8 +267,7 @@ def _cmd_mv(job, args):
     return {"moving_vector": list(mv), "operation_set": _OpStream(ops)}
 
 
-def _cmd_block_id(job, args):
-    a = _pair_from_job(job)
+def _cmd_block_id(a, args):
     from . import blocks
     bid = blocks.block_id(a)
     return {
@@ -290,20 +278,17 @@ def _cmd_block_id(job, args):
     }
 
 
-def _cmd_defect(job, args):
-    a = _pair_from_job(job)
+def _cmd_defect(a, args):
     from . import blocks
     return {"defect": blocks.defect(blocks.block_id(a))}
 
 
-def _cmd_classify(job, args):
-    a = _pair_from_job(job)
+def _cmd_classify(a, args):
     from . import classify
     return _report_json(classify.repr_type(a))
 
 
-def _cmd_schur(job, args):
-    a = _pair_from_job(job)
+def _cmd_schur(a, args):
     from . import classify
     rep = classify.repr_type(a)
     return {"verdict": classify.schur_repr_type(rep), "hecke_verdict": rep.verdict}
@@ -311,30 +296,28 @@ def _cmd_schur(job, args):
 
 def _cmd_enumerate(job, args):
     if args.n is None:
-        raise JobError("enumerate needs --n")
+        raise ValueError("enumerate needs --n")
     if args.n < 0:
-        raise JobError(f"--n must be a non-negative integer, got {args.n}")
+        raise ValueError(f"--n must be a non-negative integer, got {args.n}")
     e = _decode_e(job.get("e"))
     charge = check_integers(job.get("multicharge", ()), "multicharge")
     if not charge:
-        raise JobError("missing field 'multicharge'")
+        raise ValueError("missing field 'multicharge'")
     _check_budget(args.n, len(charge), _budget())
-    from . import blocks, classify
+    from . import blocks
     grouped: dict = {}
     for mp in multipartitions_of(args.n, len(charge)):
         bid = blocks.block_id(AbacusPair(mp, charge, e))
         grouped.setdefault(bid, []).append(mp)
-    # moving vectors are taken over the normalized multicharge, as classify does
-    charge_norm, sigma = blocks.normalize_multicharge(charge, e)
     table = []
     for bid in sorted(grouped, key=lambda b: b.content):
         members = sorted(grouped[bid])
-        mv, _ = classify.block_moving_vector(AbacusPair(permute(members[0], sigma), charge_norm, e))
         table.append(
             {
                 "content": _content_json(bid.content_dict()),
                 "defect": blocks.defect(bid),
-                "moving_vector": list(mv),
+                # over the normalized multicharge, as classify reports it
+                "moving_vector": list(blocks._block_core(bid)[-1]),
                 "size": len(members),
                 "members": [[list(c) for c in mp] for mp in members],
             }
@@ -342,42 +325,34 @@ def _cmd_enumerate(job, args):
     return {"n": args.n, "blocks": table}
 
 
-def _cmd_witness(job, args):
-    pair = _pair_from_job(job)
+def _cmd_witness(a, args):
     from . import blocks, classify
     w = classify.find_incomparable_pair(
-        blocks.block_id(pair), member=pair.mp, enumeration_budget=_budget()
+        blocks.block_id(a), member=a.mp, enumeration_budget=_budget()
     )
     return _witness_json(w)
 
 
-def _cmd_sigma(job, args):
-    a = _pair_from_job(job)
+def _cmd_sigma(j, a, args):
     from . import blocks
-    return _pair_json(blocks.weyl_sigma(a, args.param))
+    return _pair_json(blocks.weyl_sigma(a, j))
 
 
-def _cmd_uglov(job, args):
-    img = abacus.uglov(_pair_from_job(job))
+def _cmd_uglov(a, args):
+    img = abacus.uglov(a)
     return {"partition": list(img.partition), "charge": img.charge}
 
 
-def _cmd_dual(job, args):
-    return _pair_json(abacus.dual(_pair_from_job(job)))
-
-
-def _cmd_rotate(job, args):
-    a = _pair_from_job(job)
+def _cmd_rotate(i, a, args):
     from . import moves
-    return _pair_json(moves.rotate_rows(a, args.param))
+    return _pair_json(moves.rotate_rows(a, i))
 
 
-def _cmd_derived_class(job, args):
-    a = _pair_from_job(job)
+def _cmd_derived_class(a, args):
     from . import blocks, classify
     bid = blocks.block_id(a)
     if blocks.defect(bid) != 1:
-        raise JobError("derived-class is the weight-one invariant; this block has weight != 1")
+        raise ValueError("derived-class is the weight-one invariant; this block has weight != 1")
     w = classify.subabacus_moving_vector(bid, enumeration_budget=_budget())
     return {
         "nonzero_components": len(w),
@@ -385,11 +360,11 @@ def _cmd_derived_class(job, args):
     }
 
 
-def _cmd_brauer_line(job, args):
-    if not 1 <= len(args.line_params) <= 3:
-        raise JobError("brauer-line needs N [V M] positional parameters")
+def _cmd_brauer_line(params, args):
+    if not 1 <= len(params) <= 3:
+        raise ValueError("brauer-line needs N [V M] positional parameters")
     from . import brauer
-    line = brauer.BrauerLine(*args.line_params)
+    line = brauer.BrauerLine(*params)
     _check_size(line.edges + line.multiplicity, "cell chain of {} cells")
     t1, t2 = brauer.cell_chains(line)
 
@@ -405,8 +380,7 @@ def _cmd_brauer_line(job, args):
     return {"type_i": chain_json(t1), "type_ii": chain_json(t2), "poset": poset}
 
 
-def _cmd_render(job, args):
-    a = _pair_from_job(job)
+def _cmd_render(a, args):
     if args.window:
         lo, hi = args.window
     else:
@@ -417,26 +391,27 @@ def _cmd_render(job, args):
     return {"rows": text.split("\n"), "window": [lo, hi]}
 
 
+# command -> (input form, compute).  main decodes the positionals by form
+# and calls compute(*inputs, args): "pair" passes the job as an AbacusPair,
+# "param" an integer and then such a pair, "job" the raw job object and
+# "ints" brauer-line's integers.
 COMMANDS = {
-    "core": _cmd_core,
-    "mv": _cmd_mv,
-    "block-id": _cmd_block_id,
-    "defect": _cmd_defect,
-    "classify": _cmd_classify,
-    "schur-classify": _cmd_schur,
-    "enumerate": _cmd_enumerate,
-    "witness": _cmd_witness,
-    "sigma": _cmd_sigma,
-    "uglov": _cmd_uglov,
-    "dual": _cmd_dual,
-    "rotate": _cmd_rotate,
-    "derived-class": _cmd_derived_class,
-    "brauer-line": _cmd_brauer_line,
-    "render": _cmd_render,
+    "core": ("pair", _cmd_core),
+    "mv": ("job", _cmd_mv),
+    "block-id": ("pair", _cmd_block_id),
+    "defect": ("pair", _cmd_defect),
+    "classify": ("pair", _cmd_classify),
+    "schur-classify": ("pair", _cmd_schur),
+    "enumerate": ("job", _cmd_enumerate),
+    "witness": ("pair", _cmd_witness),
+    "sigma": ("param", _cmd_sigma),
+    "uglov": ("pair", _cmd_uglov),
+    "dual": ("pair", lambda a, args: _pair_json(abacus.dual(a))),
+    "rotate": ("param", _cmd_rotate),
+    "derived-class": ("pair", _cmd_derived_class),
+    "brauer-line": ("ints", _cmd_brauer_line),
+    "render": ("pair", _cmd_render),
 }
-
-NO_JOB_COMMANDS = {"brauer-line"}
-PARAM_COMMANDS = {"sigma", "rotate"}  # take one integer before the job JSON
 
 
 def _json_chunks(result: dict):
@@ -478,11 +453,11 @@ def _tsv_chunks(result: dict):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become a JobError, so they end like any other parse
+    """Usage errors become a ValueError, so they end like any other parse
     error: one JSON diagnostic on stderr and exit 2, with no usage text."""
 
     def error(self, message):
-        raise JobError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,47 +485,46 @@ def _diag(code: str, message: str):
     print(json.dumps({"error": code, "detail": message}, sort_keys=True), file=sys.stderr)
 
 
-def _split_args(args) -> dict:
-    """Distribute the raw positionals into param / line_params / job text."""
+def _inputs(args, form: str) -> tuple:
+    """The command's positionals decoded by its form (see ``COMMANDS``)."""
     for flag, only in (("n", "enumerate"), ("window", "render"), ("ascii", "render")):
         if getattr(args, flag) is not None and args.command != only:
-            raise JobError(f"--{flag} applies only to {only}, not {args.command}")
+            raise ValueError(f"--{flag} applies only to {only}, not {args.command}")
     raw = list(args.args)
-    args.param = None
-    args.line_params = []
-    if args.command in NO_JOB_COMMANDS:
+    if form == "ints":
         try:
-            args.line_params = [int(x) for x in raw]
+            return ([int(x) for x in raw],)
         except ValueError as exc:
-            raise JobError(f"brauer-line parameters must be integers: {exc}") from exc
-        return {}
-    if args.command in PARAM_COMMANDS:
+            raise ValueError(f"brauer-line parameters must be integers: {exc}") from exc
+    param = []
+    if form == "param":
         if not raw:
-            raise JobError(f"{args.command} needs an integer parameter and a job JSON")
+            raise ValueError(f"{args.command} needs an integer parameter and a job JSON")
         try:
-            args.param = int(raw.pop(0))
+            param.append(int(raw.pop(0)))
         except ValueError as exc:
-            raise JobError(f"{args.command} parameter must be an integer") from exc
+            raise ValueError(f"{args.command} parameter must be an integer") from exc
     if not raw:
-        raise JobError("missing job JSON (pass '-' to read stdin)")
+        raise ValueError("missing job JSON (pass '-' to read stdin)")
     if len(raw) > 1:
-        raise JobError(f"unexpected extra arguments: {raw[1:]}")
+        raise ValueError(f"unexpected extra arguments: {raw[1:]}")
     text = sys.stdin.read() if raw[0] == "-" else raw[0]
-    return _load_job(text)
+    job = _load_job(text)
+    return (*param, job if form == "job" else _pair_from_job(job))
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_intermixed_args(argv)
-        job = _split_args(args)
-        result = COMMANDS[args.command](job, args)
+        form, compute = COMMANDS[args.command]
+        result = compute(*_inputs(args, form), args)
     except BudgetExceeded as exc:
         _diag("budget", str(exc))
         return 3
     except (ValueError, TypeError) as exc:
         _diag("parse", str(exc))
         return 2
-    if args.ascii and args.command == "render":
+    if args.ascii:
         print("\n".join(result["rows"]))
     else:
         out = sys.stdout

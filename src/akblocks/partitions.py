@@ -176,12 +176,11 @@ def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
 
     ``a`` dominates ``b`` when every cumulative sum (previous components
     plus a row prefix of the current one) is at least the matching sum
-    for ``b``.  Both sums run along the components once.
+    for ``b``.  Both sums run along the components once, and their totals
+    are the two sizes.
     """
     if len(a) != len(b):
         raise ValueError("dominance needs multipartitions with the same number of components")
-    if size(a) != size(b):
-        raise ValueError("dominance needs multipartitions of the same size")
     if a == b:
         return DominanceRel.EQUAL
     ge = True
@@ -195,8 +194,8 @@ def dominance_compare(a: Multipartition, b: Multipartition) -> DominanceRel:
                 ge = False
             elif x > y:
                 le = False
-        if not ge and not le:
-            return DominanceRel.INCOMPARABLE
+    if x != y:
+        raise ValueError("dominance needs multipartitions of the same size")
     if ge:
         return DominanceRel.GREATER
     if le:

@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
+import shlex
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -433,6 +436,60 @@ def test_help_still_exits_zero(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr()
     assert out.out.startswith("usage: akblocks") and out.err == ""
+
+
+# command -> (what precedes the job on the command line, the job): one
+# command per input form that reads a job
+STDIN_JOBS = {
+    "core": ([], PAIR41),
+    "sigma": (["1"], PAIR41),
+    "mv": ([], dict(PAIR41, target_multicharge=[0, 1, 2], target_multipartition=[[], [4, 3, 1], [3, 2]])),
+    "enumerate": (["--n", "2"], {"e": 2, "multicharge": [0, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("command", list(STDIN_JOBS))
+def test_job_read_from_stdin(capsys, monkeypatch, command):
+    """'-' reads the job from stdin and prints the inline job's document;
+    an empty stdin is a parse error."""
+    before, job = STDIN_JOBS[command]
+    code, inline, err = run(capsys, command, *before, json.dumps(job))
+    assert code == 0, err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    assert run(capsys, command, *before, "-") == (0, inline, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run(capsys, command, *before, "-")
+    assert code == 2 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "parse" and diagnostic["detail"].startswith("invalid JSON")
+
+
+def _readme_commands() -> list:
+    """The argv of each ``akblocks`` command in the README's CLI block,
+    less those whose job is the placeholder ``'{...}'``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("akblocks ")).split("```")[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        pending += line + "\n"
+        try:
+            argv = shlex.split(pending, comments=True)
+        except ValueError:  # a quoted job goes on over the next line
+            continue
+        pending = ""
+        if "{...}" not in argv:
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    """Each README example with a spelled-out job exits 0 with a document
+    valid against its schema."""
+    monkeypatch.delenv("ABACUS_BUDGET", raising=False)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["core", "mv", "block-id", "enumerate", "brauer-line"]
+    for argv in commands:
+        run_json(capsys, *argv)
 
 
 FAR = {"e": 2, "multicharge": [0, 10**6], "multipartition": [[5, 3], [2]]}

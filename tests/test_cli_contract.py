@@ -39,6 +39,7 @@ import jsonschema
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from akblocks import cli
 from akblocks.abacus import AbacusPair
 from akblocks.cli import SCHEMAS, main
 from akblocks.moves import core_and_vector
@@ -229,3 +230,9 @@ def test_cli_contract(case):
     else:
         assert out == ""
         assert [d["error"] for d in diagnostics] == ["parse" if code == 2 else "budget"]
+
+
+def test_draws_every_command():
+    """The list above keeps its order, so the fuzz draws stay the same; it
+    names exactly the commands of the CLI's table."""
+    assert sorted(COMMANDS) == sorted(cli.COMMANDS)

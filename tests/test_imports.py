@@ -60,15 +60,18 @@ LOADS = {
     "classify": (["classify", JOB], CLASSIFY),
     "schur-classify": (["schur-classify", JOB], CLASSIFY),
     "witness": (["witness", JOB], CLASSIFY),
-    "enumerate": (["enumerate", "--n", "2", json.dumps({"e": 2, "multicharge": [0, 0]})], CLASSIFY),
+    "enumerate": (["enumerate", "--n", "2", json.dumps({"e": 2, "multicharge": [0, 0]})], MOVES | {"blocks"}),
     "derived-class": (["derived-class", WEIGHT_ONE], CLASSIFY),
 }
 
 
 def test_every_command_has_a_case():
-    from akblocks.cli import COMMANDS
+    from akblocks.cli import COMMANDS, SCHEMAS
 
     assert set(LOADS) - {"parse-error"} == set(COMMANDS)
+    # besides one schema per command, SCHEMAS holds the job's ("pair") and
+    # the shared definitions
+    assert set(SCHEMAS) - {"pair", "definitions"} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("case", list(LOADS))

@@ -98,6 +98,9 @@ def test_dominance_errors():
         dominance_compare(((1,),), ((1,), ()))
     with pytest.raises(ValueError):
         dominance_compare(((1,), ()), ((1,), (1,)))
+    # the prefix sums cross (2 > 1, then 2 < 4) before the sizes differ
+    with pytest.raises(ValueError):
+        dominance_compare(((2,), ()), ((1,), (3,)))
 
 
 def test_dominance_partial_order_small():
