@@ -191,6 +191,24 @@ def _moved(a: AbacusPair, *moves) -> AbacusPair:
     return AbacusPair._of(tuple(mp), tuple(charge), a.e)
 
 
+def _keeps_block(a: AbacusPair, moves) -> bool:
+    """Whether the moves, if :func:`_moved` accepts them, keep the pair's
+    block, in O(moves): every row gains as many beads as it loses, and the
+    targets have the sources' column sum and residues mod e (columns with
+    infinite e).  Exact: a row of charge s holds
+    #{beads >= x} - #{y : x <= y < s} nodes of content x, so with the
+    charges kept a move from column c to d adds the contents in (c, d],
+    and a column q*e + u lies at or above q - [u < f] contents of residue
+    f, up to a constant."""
+    src_rows, src_cols = zip(*[_wrap(a, *src) for src, _ in moves])
+    dst_rows, dst_cols = zip(*[_wrap(a, *dst) for _, dst in moves])
+    return (
+        sorted(src_rows) == sorted(dst_rows)
+        and sum(src_cols) == sum(dst_cols)
+        and sorted([residue(c, a.e) for c in src_cols]) == sorted([residue(c, a.e) for c in dst_cols])
+    )
+
+
 def n_right(a: AbacusPair, row: int, col: int) -> int:
     """Number of beads strictly right of the given column in one row."""
     a._check_row(row)

@@ -150,7 +150,7 @@ def normalize_multicharge(charge, e):
     in {0, ..., e-1} (raw entries when e is infinite).
     """
     check_quantum_char(e)
-    reduced = [residue(s, e) for s in charge]
+    reduced = [residue(s, e) for s in check_integers(charge, "multicharge")]
     order = sorted(range(len(charge)), key=lambda i: (reduced[i], i))
     sigma = tuple(i + 1 for i in order)
     return tuple(reduced[i] for i in order), sigma

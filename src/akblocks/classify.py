@@ -27,8 +27,12 @@ members, as its member stream builds them (each subabacus's lifts one
 size at a time, as the members read need them); the pairwise scan of
 every member is the last step.  The four constructions share one memo
 of each seed's row-pair column lists, read from the rows' (floor,
-extras), and build their pairs with :func:`akblocks.abacus._moved`, the
-one bead move.
+extras), and hand back the moves of their two abaci: a candidate stays
+in the seed's block exactly when every row gains as many beads as it
+loses and the targets have the sources' column sum and residues mod e,
+as a row of charge s holds #{beads >= x} - #{y : x <= y < s} nodes of
+content x.  That is checked in O(moves) before :func:`_moved` builds
+it, so :func:`repr_type` computes a block id only if the stream opens.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .abacus import AbacusPair, _moved, _wrap, dual
+from .abacus import AbacusPair, _keeps_block, _moved, _wrap, dual
 from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
@@ -200,8 +204,8 @@ def _build_two_runners(cols: _RowPairCols, j: int, h1: int, h2: int):
     # each move two beads more
     bar = (((j, h1), (j + 1, h1)), ((j, h2), (j + 1, h2)))
     l1, l2, l3, l4 = sorted((h1, h2, h3, h4))
-    mu = _moved(seed, *bar, ((j + 1, l1), (j, l1)), ((j + 1, l4), (j, l4)))
-    nu = _moved(seed, *bar, ((j + 1, l2), (j, l2)), ((j + 1, l3), (j, l3)))
+    mu = (*bar, ((j + 1, l1), (j, l1)), ((j + 1, l4), (j, l4)))
+    nu = (*bar, ((j + 1, l2), (j, l2)), ((j + 1, l3), (j, l3)))
     return mu, nu, _wrap(seed, j, l4) + _wrap(seed, j + 1, l1)
 
 
@@ -238,8 +242,8 @@ def construct_four_runners(cols: _RowPairCols):
             bar = (((i, l), (i + 1, l)), ((j, h), (j + 1, h)))
             l1, l2 = sorted((l, l_))
             h1, h2 = sorted((h, h_))
-            mu = _moved(seed, *bar, ((i + 1, l2), (i, l2)), ((j + 1, h1), (j, h1)))
-            nu = _moved(seed, *bar, ((i + 1, l1), (i, l1)), ((j + 1, h2), (j, h2)))
+            mu = (*bar, ((i + 1, l2), (i, l2)), ((j + 1, h1), (j, h1)))
+            nu = (*bar, ((i + 1, l1), (i, l1)), ((j + 1, h2), (j, h2)))
             return mu, nu, (i, l2) + _wrap(seed, j + 1, h1)
     return None
 
@@ -273,8 +277,8 @@ def _three_runners_cases(cols: _RowPairCols, i: int, l1: int, l2: int, l3: int, 
         bar = (((i, l1), (i + 1, l1)), ((i + 1, l3), (i + 2, l3)))
         h1, h2 = sorted((l1, l2))
         h3, h4 = sorted((l3, l4))
-        mu = _moved(seed, *bar, ((i + 1, h2), (i, h2)), ((i + 2, h3), (i + 1, h3)))
-        nu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, h4), (i + 1, h4)))
+        mu = (*bar, ((i + 1, h2), (i, h2)), ((i + 2, h3), (i + 1, h3)))
+        nu = (*bar, ((i + 1, h1), (i, h1)), ((i + 2, h4), (i + 1, h4)))
         return mu, nu, (i, h2) + _wrap(seed, i + 2, h3)
     if l1 == l4 and l2 != l3:
         if not seed.has_bead(*_wrap(seed, i + 2, l2)):
@@ -282,12 +286,12 @@ def _three_runners_cases(cols: _RowPairCols, i: int, l1: int, l2: int, l3: int, 
         bar = (((i, l1), (i + 1, l1)), ((i + 1, l3), (i + 2, l3)))
         h1, h2 = sorted((l1, l2))
         if l3 > h2 or l3 < h1:
-            mu = _moved(seed, *bar, ((i + 1, h2), (i, h2)), ((i + 2, h2), (i + 1, h2)))
-            nu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, l3), (i + 1, l3)))
+            mu = (*bar, ((i + 1, h2), (i, h2)), ((i + 2, h2), (i + 1, h2)))
+            nu = (*bar, ((i + 1, h1), (i, h1)), ((i + 2, l3), (i + 1, l3)))
             coords = (i, h2) + (_wrap(seed, i + 2, h2) if l3 > h2 else _wrap(seed, i + 1, l3))
             return mu, nu, coords
-        mu = _moved(seed, *bar, ((i + 1, h1), (i, h1)), ((i + 2, h1), (i + 1, h1)))
-        nu = _moved(seed, *bar, ((i + 2, l3), (i + 1, l3)), ((i + 1, h2), (i, h2)))
+        mu = (*bar, ((i + 1, h1), (i, h1)), ((i + 2, h1), (i + 1, h1)))
+        nu = (*bar, ((i + 2, l3), (i + 1, l3)), ((i + 1, h2), (i, h2)))
         return mu, nu, _wrap(seed, i + 1, h2) + _wrap(seed, i + 2, h1)
     # remaining shape (l1 != l4, l2 == l3) is handled on the dual abacus
     return None
@@ -318,8 +322,8 @@ def construct_four_rows_one_column(cols: _RowPairCols):
         bar = (((i1, h), (i3, h)), ((i2, h), (i4, h)))
         l1, l3 = sorted((h, h1))
         l2, l4 = sorted((h, h2))
-        mu = _moved(seed, *bar, ((i3, l3), (i1, l3)), ((i4, l2), (i2, l2)))
-        nu = _moved(seed, *bar, ((i3, l1), (i1, l1)), ((i4, l4), (i2, l4)))
+        mu = (*bar, ((i3, l3), (i1, l3)), ((i4, l2), (i2, l2)))
+        nu = (*bar, ((i3, l1), (i1, l1)), ((i4, l4), (i2, l4)))
         return mu, nu, (i1, l3, i4, l2)
     return None
 
@@ -337,9 +341,10 @@ def _dual_coords(r: int, coords):
     return (r - k2 + 1, -i2 - 1, r - k1 + 1, -i1 - 1)
 
 
-def _witness_from(a: AbacusPair, b: AbacusPair, coords, target: BlockId):
+def _witness_from(a: AbacusPair, b: AbacusPair, coords, target: BlockId | None):
+    """The witness if the checker passes and, unless ``target`` is None, a and b lie in it."""
     k1, i1, k2, i2 = coords
-    if block_id(a) != target or block_id(b) != target:
+    if target is not None and (block_id(a) != target or block_id(b) != target):
         return None
     if not is_incomparable_witness(a, b, k1, i1, k2, i2):
         return None
@@ -370,29 +375,29 @@ def _transport_witness(w, sigma, charge, charge_norm, e, b: BlockId):
     return _witness_from(AbacusPair._of(mu, charge, e), AbacusPair._of(nu, charge, e), coords, b)
 
 
-def _constructed_witness(member: AbacusPair, b: BlockId):
-    """Run the pattern constructions on the member, then on its dual; the
-    member lies in ``b`` over a normalized multicharge.
+def _constructed_witness(member: AbacusPair):
+    """Run the pattern constructions on the member, then on its dual.
 
     Every construction needs a bead over a hole, which a complete abacus
     (the core, or its dual) never has, so neither is tried.  The dual is
     built only when the member yields nothing, and all four constructions
-    share one memo of the seed's row-pair columns.
+    share one memo of the seed's row-pair columns.  Their moves are
+    checked before any pair is built, and ``dual`` maps blocks to blocks.
     """
     for dualized in (False, True):
         seed = dual(member) if dualized else member
         cols = _RowPairCols(seed)
         for build in _CONSTRUCTIONS:
             try:
-                built = build(cols)
+                mu, nu, coords = build(cols) or (None, None, None)
+                if mu is None or not (_keeps_block(seed, mu) and _keeps_block(seed, nu)):
+                    continue
+                mu, nu = _moved(seed, *mu), _moved(seed, *nu)
             except ValueError:
-                built = None
-            if not built:
                 continue
-            mu, nu, coords = built
             if dualized:
                 mu, nu, coords = dual(mu), dual(nu), _dual_coords(seed.r, coords)
-            witness = _witness_from(mu, nu, coords, b)
+            witness = _witness_from(mu, nu, coords, None)
             if witness:
                 return witness
     return None
@@ -452,24 +457,26 @@ def find_incomparable_pair(
     return _transport_witness(w, sigma, b.charge, charge, b.e, b)
 
 
-def _witness_search(b: BlockId, seed, pair_budget: int, enumeration_budget: int):
+def _witness_search(b, seed, pair_budget: int, enumeration_budget: int):
     """The constructions on a member ``seed`` of ``b`` and its dual, then
-    on each other member of the block's stream (opened only now), then
-    the scan over every member read, sorted; without a seed, each member
-    of the stream in turn.  ``b`` lies over a normalized multicharge, and
-    a block of rank one has no witness, as a witness needs two rows: None
-    is returned with no stream opened."""
-    if len(b.charge) < 2:
+    on each other member of the block's stream (opened only now, and
+    ``b`` computed from the seed then if None), then the scan over every
+    member read, sorted; without a seed, each member of the stream in
+    turn.  ``b`` lies over a normalized multicharge, and a block of rank
+    one has no witness, as a witness needs two rows: None is returned
+    with no stream opened."""
+    if (seed.r if b is None else len(b.charge)) < 2:
         return None
     if seed is not None:
-        witness = _constructed_witness(seed, b)
+        witness = _constructed_witness(seed)
         if witness:
             return witness
+        b = b or block_id(seed)
     members = []
     for mp in _member_stream(b, enumeration_budget):
         members.append(mp)
         if seed is None or mp != seed.mp:
-            witness = _constructed_witness(AbacusPair._of(mp, b.charge, b.e), b)
+            witness = _constructed_witness(AbacusPair._of(mp, b.charge, b.e))
             if witness:
                 return witness
     return _witness_by_scan(sorted(members), b.charge, b, pair_budget)
@@ -568,7 +575,7 @@ def repr_type(p: AbacusPair, witness_budget: int = DEFAULT_PAIR_BUDGET) -> ReprT
     witness = None
     if witness_budget > 0:
         try:
-            witness = _witness_search(block_id(q), q, witness_budget, DEFAULT_ENUMERATION_BUDGET)
+            witness = _witness_search(None, q, witness_budget, DEFAULT_ENUMERATION_BUDGET)
         except BudgetExceeded:
             pass
     return ReprTypeReport(verdict="infinite", witness=witness, **report)

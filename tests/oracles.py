@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from operator import getitem
 
-from akblocks.abacus import AbacusPair, dual, pair_from_beads, row_from_beads
+from akblocks.abacus import AbacusPair, _moved, dual, pair_from_beads, row_from_beads
 from akblocks.classify import _CONSTRUCTIONS, _dual_coords, _RowPairCols, _witness_from
 from akblocks.moves import ElementaryOp, _core_pair, apply_op, core
 from akblocks.blocks import (
@@ -422,16 +422,18 @@ def constructed_witness_four_seeds(member, core_pair, b):
     """The first witness the constructions build on the core, the member,
     the core's dual and the member's dual, in that order, with a fresh
     column memo per construction; the member lies in ``b`` over a
-    normalized multicharge and ``core_pair`` is its core."""
+    normalized multicharge and ``core_pair`` is its core.  Every pair is
+    built from its moves and checked by its block id, not by the moves."""
     for idx, seed in enumerate([core_pair, member, dual(core_pair), dual(member)]):
         for build in _CONSTRUCTIONS:
             try:
                 built = build(_RowPairCols(seed))
+                if built:
+                    mu, nu, coords = _moved(seed, *built[0]), _moved(seed, *built[1]), built[2]
             except ValueError:
                 built = None
             if not built:
                 continue
-            mu, nu, coords = built
             if idx >= 2:
                 mu, nu, coords = dual(mu), dual(nu), _dual_coords(seed.r, coords)
             witness = _witness_from(mu, nu, coords, b)

@@ -133,6 +133,14 @@ def test_weyl_reflection_formula():
                 assert alpha_pairing(block_id(b), j) == -alpha_pairing(block_id(a), j)
 
 
+@pytest.mark.parametrize("charge", [(True, 0), (0.5, 1), ("1",)])
+def test_normalize_multicharge_rejects_non_integers(charge):
+    """A bool, a float or a string entry is refused, as AbacusPair refuses
+    it, rather than reduced as a number or failing inside the sort."""
+    with pytest.raises(ValueError, match="multicharge entries must be integers"):
+        normalize_multicharge(charge, 2)
+
+
 def test_normalize_multicharge():
     norm, sigma = normalize_multicharge((1, 0, 2, 0), 5)
     assert norm == (0, 0, 1, 2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akblocks import moves
-from akblocks.abacus import AbacusPair, dual, is_complete
+from akblocks.abacus import AbacusPair, _keeps_block, _moved, _wrap, dual, is_complete
 from akblocks.blocks import (
     _Lifts,
     _member_stream,
@@ -44,8 +44,10 @@ from akblocks.partitions import (
     DominanceRel,
     dominance_compare,
     count_standard_tableaux,
+    is_finite,
     multipartitions_of,
     permute,
+    residue_content,
 )
 from oracles import (
     blocks_by_filter,
@@ -427,6 +429,99 @@ def test_construction_columns_match_column_scan():
                     )
 
 
+def _fitted_move(rng, b, src_row, dst_row, cols):
+    """A (src, dst) move that ``_moved`` accepts on ``b``, rows above r
+    wrapping down by e: in one column of ``cols`` when they are given
+    (None if none fits), else from random columns with src slid down to
+    a bead and dst up to a hole."""
+    bead = lambda row, col: b.has_bead(*_wrap(b, row, col))
+    if cols is None:
+        src, dst = rng.randrange(-8, 13), rng.randrange(-8, 13)
+        while not bead(src_row, src):
+            src -= 1
+        while bead(dst_row, dst):
+            dst += 1
+        return (src_row, src), (dst_row, dst)
+    fits = [c for c in cols if bead(src_row, c) and not bead(dst_row, c)]
+    if not fits:
+        return None
+    c = rng.choice(fits)
+    return (src_row, c), (dst_row, c)
+
+
+def _drawn_moves(rng, a, kind):
+    """Two or four moves on ``a`` that ``_moved`` accepts, each between two
+    distinct rows of 1..r (1..2r with finite e).  A "keep" list is made of
+    same-column row swaps that restore every row's bead count: a bead
+    goes from row i to row j in one column and one from j back to i in
+    another, so the block is kept.  A "skew" list sends the second bead
+    of each swap to a row drawn at random instead of i, and a "free" list
+    draws its columns too.  A list is cut to whole swaps, and may come
+    out empty, where no column fits."""
+    top = 2 * a.r if is_finite(a.e) else a.r
+    step = a.e if is_finite(a.e) else 1
+    lo, hi = a.bounds()
+    cols = None if kind == "free" else range(lo - 2 * step, hi + 2 * step)
+    moves = []
+    for _ in range(rng.randrange(1, 3)):
+        i, j = rng.sample(range(1, top + 1), 2)
+        back = i if kind == "keep" else rng.choice([row for row in range(1, top + 1) if row != j])
+        for src_row, dst_row in ((i, j), (j, back)):
+            move = _fitted_move(rng, _moved(a, *moves), src_row, dst_row, cols)
+            if move is None:
+                return moves[: len(moves) // 2 * 2]
+            moves.append(move)
+    return moves
+
+
+def test_move_check_matches_block_id_on_drawn_moves():
+    """The move check on lists that ``_moved`` accepts equals comparing the
+    block ids before and after, on pairs drawn as the bead-move rebuild
+    test draws them (e in {2, 3, 5, infinite}, unsorted charges, rows above
+    r wrapping).  Half the lists are built to keep the block; of the rest,
+    the skewed same-column ones can keep the column multiset but not the
+    rows' bead counts."""
+    rng = random.Random(22)
+    answers = {True: 0, False: 0}
+    for e in (2, 3, 5, INFINITY):
+        for k in range(160):
+            r = rng.randrange(1 if is_finite(e) else 2, 6)  # two rows to move between
+            mp = tuple(tuple(sorted(rng.choices(range(1, 9), k=rng.randrange(0, 7)), reverse=True)) for _ in range(r))
+            a = AbacusPair(mp, tuple(rng.randrange(-20, 21) for _ in range(r)), e)
+            kind = ("keep", "skew", "keep", "free")[k % 4]
+            moves = _drawn_moves(rng, a, kind)
+            if not moves:
+                continue
+            kept = _keeps_block(a, moves)
+            assert kept == (block_id(_moved(a, *moves)) == block_id(a))
+            assert kept or kind != "keep"
+            answers[kept] += 1
+    assert answers == {True: 288, False: 199}
+
+
+def test_move_check_matches_block_id_on_sweep_constructions(desk_sweep):
+    """Every candidate the constructions build on each sweep block's
+    first-seen member and on its dual (1,348 pairs, two move lists each,
+    all of which ``_moved`` accepts): the move check agrees with the block
+    ids, and here every candidate keeps the block."""
+    checked = kept = 0
+    for key, grouped in desk_sweep.items():
+        if key == "elapsed":
+            continue
+        e, r, charge = key
+        for entries in grouped.values():
+            member = AbacusPair(entries[0][0], charge, e)
+            for seed in (member, dual(member)):
+                cols, target = _RowPairCols(seed), block_id(seed)
+                for build in _CONSTRUCTIONS:
+                    for moves in (build(cols) or ())[:2]:
+                        keeps = _keeps_block(seed, moves)
+                        assert keeps == (block_id(_moved(seed, *moves)) == target)
+                        checked += 1
+                        kept += keeps
+    assert (checked, kept) == (2696, 2696)
+
+
 def _assert_valid_witness(w, bid):
     """Both abaci lie in ``bid``, the coordinates pass the checker and the
     permuted pair is dominance-incomparable."""
@@ -666,6 +761,22 @@ def test_repr_type_builds_no_lift_table_on_large_inputs(monkeypatch):
     for e, charge, mp, _ in large_inputs(1):
         witnessed += repr_type(AbacusPair(mp, charge, e)).witness is not None
     assert lifts == streams == [] and witnessed > 200
+
+
+def test_repr_type_computes_no_residue_content_on_large_inputs(monkeypatch):
+    """The witnesses of the large seed-1 pairs are built on the member or
+    its dual and checked from their moves, and the member stream never
+    opens, so repr_type computes no block id: residue_content, which
+    block_id computes through, is never called."""
+    contents = []
+    monkeypatch.setattr(
+        "akblocks.blocks.residue_content", lambda *args: contents.append(args) or residue_content(*args)
+    )
+    reports = [repr_type(AbacusPair(mp, charge, e)) for e, charge, mp, _ in large_inputs(1)]
+    assert contents == []
+    assert sum(rep.witness is not None for rep in reports) == 240
+    block_id(AbacusPair(((1,),), (0,), 2))  # the spy sees block_id's one call
+    assert len(contents) == 1
 
 
 def test_find_incomparable_pair_reads_one_member_of_the_quickstart_block(monkeypatch):
