@@ -27,12 +27,17 @@ members, as its member stream builds them (each subabacus's lifts one
 size at a time, as the members read need them); the pairwise scan of
 every member is the last step.  The four constructions share one memo
 of each seed's row-pair column lists, read from the rows' (floor,
-extras), and hand back the moves of their two abaci: a candidate stays
-in the seed's block exactly when every row gains as many beads as it
-loses and the targets have the sources' column sum and residues mod e,
-as a row of charge s holds #{beads >= x} - #{y : x <= y < s} nodes of
-content x.  That is checked in O(moves) before :func:`_moved` builds
-it, so :func:`repr_type` computes a block id only if the stream opens.
+extras), and hand back the moves of their two abaci.  No candidate is
+checked for its block, as each lies in the seed's by construction: every
+move is vertical, so it keeps its column's residue; each list's source
+and target rows are one multiset, so every row keeps its bead count and
+charge, and the -e column shifts of rows read past r by :func:`_wrap`
+cancel, so the target columns sum to the source columns; a row of
+charge s holds #{beads >= x} - #{y : x <= y < s} nodes of content x, so
+a move from column c to d adds (d - c)/e nodes of each residue, 0 in
+all.  Scanned members come from the block's stream, and a witness
+carried back only has its rows permuted and charges shifted by
+multiples of e.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .abacus import AbacusPair, _keeps_block, _moved, _wrap, dual
+from .abacus import AbacusPair, _moved, _wrap, dual
 from .blocks import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockId,
@@ -341,11 +346,9 @@ def _dual_coords(r: int, coords):
     return (r - k2 + 1, -i2 - 1, r - k1 + 1, -i1 - 1)
 
 
-def _witness_from(a: AbacusPair, b: AbacusPair, coords, target: BlockId | None):
-    """The witness if the checker passes and, unless ``target`` is None, a and b lie in it."""
+def _witness_from(a: AbacusPair, b: AbacusPair, coords):
+    """The witness on two abaci of one block if the checker passes."""
     k1, i1, k2, i2 = coords
-    if target is not None and (block_id(a) != target or block_id(b) != target):
-        return None
     if not is_incomparable_witness(a, b, k1, i1, k2, i2):
         return None
     return IncomparabilityWitness(a.mp, b.mp, a.charge, coords, _incomparability_sigma(a, b, k1, k2))
@@ -358,9 +361,9 @@ def _inverse_permutation(sigma) -> tuple:
     return tuple(inv)
 
 
-def _transport_witness(w, sigma, charge, charge_norm, e, b: BlockId):
+def _transport_witness(w, sigma, charge_norm, b: BlockId):
     """Carry a witness found over the normalized multicharge back to the
-    original one: rows permute and columns shift by multiples of e."""
+    block's own one: rows permute and columns shift by multiples of e."""
     inv = _inverse_permutation(sigma)
     mu = permute(w.mu, inv)
     nu = permute(w.nu, inv)
@@ -368,55 +371,51 @@ def _transport_witness(w, sigma, charge, charge_norm, e, b: BlockId):
     big_k1, big_k2 = sigma[k1 - 1], sigma[k2 - 1]
     coords = (
         big_k1,
-        i1 + charge[big_k1 - 1] - charge_norm[k1 - 1],
+        i1 + b.charge[big_k1 - 1] - charge_norm[k1 - 1],
         big_k2,
-        i2 + charge[big_k2 - 1] - charge_norm[k2 - 1],
+        i2 + b.charge[big_k2 - 1] - charge_norm[k2 - 1],
     )
-    return _witness_from(AbacusPair._of(mu, charge, e), AbacusPair._of(nu, charge, e), coords, b)
+    return _witness_from(AbacusPair._of(mu, b.charge, b.e), AbacusPair._of(nu, b.charge, b.e), coords)
 
 
 def _constructed_witness(member: AbacusPair):
-    """Run the pattern constructions on the member, then on its dual.
-
-    Every construction needs a bead over a hole, which a complete abacus
-    (the core, or its dual) never has, so neither is tried.  The dual is
-    built only when the member yields nothing, and all four constructions
-    share one memo of the seed's row-pair columns.  Their moves are
-    checked before any pair is built, and ``dual`` maps blocks to blocks.
-    """
+    """Run the pattern constructions on the member, then, only if it
+    yields nothing, on its dual, all four sharing one memo of the seed's
+    row-pair columns.  Every candidate lies in the seed's block (see the
+    module docstring), and ``dual`` maps blocks to blocks."""
     for dualized in (False, True):
         seed = dual(member) if dualized else member
         cols = _RowPairCols(seed)
         for build in _CONSTRUCTIONS:
             try:
                 mu, nu, coords = build(cols) or (None, None, None)
-                if mu is None or not (_keeps_block(seed, mu) and _keeps_block(seed, nu)):
+                if mu is None:
                     continue
                 mu, nu = _moved(seed, *mu), _moved(seed, *nu)
             except ValueError:
                 continue
             if dualized:
                 mu, nu, coords = dual(mu), dual(nu), _dual_coords(seed.r, coords)
-            witness = _witness_from(mu, nu, coords, None)
+            witness = _witness_from(mu, nu, coords)
             if witness:
                 return witness
     return None
 
 
-def _witness_by_scan(members, charge, b: BlockId, pair_budget: int):
-    """The first witness among the ordered pairs of ``members`` (over
-    ``charge``), comparing at most ``pair_budget`` pairs."""
+def _witness_by_scan(members, b: BlockId, pair_budget: int):
+    """The first witness among the ordered pairs of ``members`` of ``b``,
+    comparing at most ``pair_budget`` pairs."""
     compared = 0
     for x, y in combinations(members, 2):
         if compared >= pair_budget:
             break
         compared += 1
-        pa = AbacusPair._of(x, charge, b.e)
-        pb = AbacusPair._of(y, charge, b.e)
+        pa = AbacusPair._of(x, b.charge, b.e)
+        pb = AbacusPair._of(y, b.charge, b.e)
         for first, second in ((pa, pb), (pb, pa)):
             coords = incomparable_abaci(first, second)
             if coords:
-                witness = _witness_from(first, second, coords, b)
+                witness = _witness_from(first, second, coords)
                 if witness:
                     return witness
     return None
@@ -454,7 +453,7 @@ def find_incomparable_pair(
     w = _witness_search(b._replace(charge=charge), seed, pair_budget, enumeration_budget)
     if w is None or charge == b.charge:
         return w
-    return _transport_witness(w, sigma, b.charge, charge, b.e, b)
+    return _transport_witness(w, sigma, charge, b)
 
 
 def _witness_search(b, seed, pair_budget: int, enumeration_budget: int):
@@ -479,7 +478,7 @@ def _witness_search(b, seed, pair_budget: int, enumeration_budget: int):
             witness = _constructed_witness(AbacusPair._of(mp, b.charge, b.e))
             if witness:
                 return witness
-    return _witness_by_scan(sorted(members), b.charge, b, pair_budget)
+    return _witness_by_scan(sorted(members), b, pair_budget)
 
 
 def block_moving_vector(p: AbacusPair):
@@ -539,17 +538,16 @@ def _finite_detail(mv, charge, e, r):
         return {"detail_kind": "simple"}
     if w == 1:
         return {"detail_kind": "brauer_line", "detail_edges": _brauer_edge_count(mv, charge, e, r)}
-    if r > 2:
-        ones = [i for i, m in enumerate(mv) if m == 1]
-        consecutive_run = (
-            len(ones) == w
-            and all(m in (0, 1) for m in mv)
-            and ones == list(range(ones[0], ones[0] + w))
-        )
-        if mv[-1] == 0 and consecutive_run:
-            j = ones[0]
-            if len(set(charge[j : j + w + 1])) == 1:
-                return {"detail_kind": "truncated_polynomial", "detail_degree": w + 1}
+    ones = [i for i, m in enumerate(mv) if m == 1]
+    consecutive_run = (
+        len(ones) == w
+        and all(m in (0, 1) for m in mv)
+        and ones == list(range(ones[0], ones[0] + w))
+    )
+    if mv[-1] == 0 and consecutive_run:
+        j = ones[0]
+        if len(set(charge[j : j + w + 1])) == 1:
+            return {"detail_kind": "truncated_polynomial", "detail_degree": w + 1}
     return None
 
 

@@ -233,10 +233,9 @@ def _budget() -> int:
     raw = os.environ.get("ABACUS_BUDGET")
     if raw is None:
         return DEFAULT_ENUMERATION_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ABACUS_BUDGET must be an integer, got {raw!r}") from exc
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"ABACUS_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_size(size: int, what: str = "operation set of {} moves") -> None:

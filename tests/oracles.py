@@ -52,6 +52,7 @@ from akblocks.blocks import (
     _block_core,
     _pairing,
     _tally_combinations,
+    block_id,
     weight_multiplicities,
 )
 from akblocks.partitions import (
@@ -423,7 +424,8 @@ def constructed_witness_four_seeds(member, core_pair, b):
     the core's dual and the member's dual, in that order, with a fresh
     column memo per construction; the member lies in ``b`` over a
     normalized multicharge and ``core_pair`` is its core.  Every pair is
-    built from its moves and checked by its block id, not by the moves."""
+    built from its moves and checked by its block id here, independently
+    of the constructions' invariant that keeps it in the block."""
     for idx, seed in enumerate([core_pair, member, dual(core_pair), dual(member)]):
         for build in _CONSTRUCTIONS:
             try:
@@ -436,7 +438,9 @@ def constructed_witness_four_seeds(member, core_pair, b):
                 continue
             if idx >= 2:
                 mu, nu, coords = dual(mu), dual(nu), _dual_coords(seed.r, coords)
-            witness = _witness_from(mu, nu, coords, b)
+            if block_id(mu) != b or block_id(nu) != b:
+                continue
+            witness = _witness_from(mu, nu, coords)
             if witness:
                 return witness
     return None

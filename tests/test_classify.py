@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akblocks import moves
-from akblocks.abacus import AbacusPair, _keeps_block, _moved, _wrap, dual, is_complete
+from akblocks.abacus import AbacusPair, _moved, dual, is_complete
 from akblocks.blocks import (
     _Lifts,
     _member_stream,
@@ -25,6 +25,7 @@ from akblocks.classify import (
     _RowPairCols,
     _cols_bead_over_empty,
     _cols_empty_under_bead,
+    _finite_detail,
     _transport_witness,
     _witness_by_scan,
     block_moving_vector,
@@ -44,7 +45,6 @@ from akblocks.partitions import (
     DominanceRel,
     dominance_compare,
     count_standard_tableaux,
-    is_finite,
     multipartitions_of,
     permute,
     residue_content,
@@ -246,6 +246,20 @@ def test_repr_type_small_rank_weight_rule():
     assert (w1.verdict == "finite") == (w1.weight <= 1)
 
 
+def test_finite_detail_at_rank_one_and_two_is_the_weight_rule():
+    """At r <= 2 no vector of weight 2 or more is a run of ones that ends
+    before the last slot, so every such vector is of infinite type,
+    whatever the normalized charge."""
+    checked = 0
+    for e in (2, 3, 5, INFINITY):
+        spreads = range(e + 1) if e != INFINITY else range(4)
+        for w in range(2, 7):
+            for mv, charge in [((w,), (0,))] + [((m, w - m), (0, s)) for m in range(w + 1) for s in spreads]:
+                assert _finite_detail(mv, charge, e, len(mv)) is None, (mv, charge, e)
+                checked += 1
+    assert checked == 445
+
+
 def test_schur_repr_type():
     finite3 = repr_type(AbacusPair(((1,), (), (), (), (), ()), (1, 1, 1, 3, 3, 3), 5))
     assert finite3.weight == 2 and schur_repr_type(finite3) == "finite"
@@ -429,97 +443,50 @@ def test_construction_columns_match_column_scan():
                     )
 
 
-def _fitted_move(rng, b, src_row, dst_row, cols):
-    """A (src, dst) move that ``_moved`` accepts on ``b``, rows above r
-    wrapping down by e: in one column of ``cols`` when they are given
-    (None if none fits), else from random columns with src slid down to
-    a bead and dst up to a hole."""
-    bead = lambda row, col: b.has_bead(*_wrap(b, row, col))
-    if cols is None:
-        src, dst = rng.randrange(-8, 13), rng.randrange(-8, 13)
-        while not bead(src_row, src):
-            src -= 1
-        while bead(dst_row, dst):
-            dst += 1
-        return (src_row, src), (dst_row, dst)
-    fits = [c for c in cols if bead(src_row, c) and not bead(dst_row, c)]
-    if not fits:
-        return None
-    c = rng.choice(fits)
-    return (src_row, c), (dst_row, c)
-
-
-def _drawn_moves(rng, a, kind):
-    """Two or four moves on ``a`` that ``_moved`` accepts, each between two
-    distinct rows of 1..r (1..2r with finite e).  A "keep" list is made of
-    same-column row swaps that restore every row's bead count: a bead
-    goes from row i to row j in one column and one from j back to i in
-    another, so the block is kept.  A "skew" list sends the second bead
-    of each swap to a row drawn at random instead of i, and a "free" list
-    draws its columns too.  A list is cut to whole swaps, and may come
-    out empty, where no column fits."""
-    top = 2 * a.r if is_finite(a.e) else a.r
-    step = a.e if is_finite(a.e) else 1
-    lo, hi = a.bounds()
-    cols = None if kind == "free" else range(lo - 2 * step, hi + 2 * step)
-    moves = []
-    for _ in range(rng.randrange(1, 3)):
-        i, j = rng.sample(range(1, top + 1), 2)
-        back = i if kind == "keep" else rng.choice([row for row in range(1, top + 1) if row != j])
-        for src_row, dst_row in ((i, j), (j, back)):
-            move = _fitted_move(rng, _moved(a, *moves), src_row, dst_row, cols)
-            if move is None:
-                return moves[: len(moves) // 2 * 2]
-            moves.append(move)
-    return moves
-
-
-def test_move_check_matches_block_id_on_drawn_moves():
-    """The move check on lists that ``_moved`` accepts equals comparing the
-    block ids before and after, on pairs drawn as the bead-move rebuild
-    test draws them (e in {2, 3, 5, infinite}, unsorted charges, rows above
-    r wrapping).  Half the lists are built to keep the block; of the rest,
-    the skewed same-column ones can keep the column multiset but not the
-    rows' bead counts."""
-    rng = random.Random(22)
-    answers = {True: 0, False: 0}
-    for e in (2, 3, 5, INFINITY):
-        for k in range(160):
-            r = rng.randrange(1 if is_finite(e) else 2, 6)  # two rows to move between
-            mp = tuple(tuple(sorted(rng.choices(range(1, 9), k=rng.randrange(0, 7)), reverse=True)) for _ in range(r))
-            a = AbacusPair(mp, tuple(rng.randrange(-20, 21) for _ in range(r)), e)
-            kind = ("keep", "skew", "keep", "free")[k % 4]
-            moves = _drawn_moves(rng, a, kind)
-            if not moves:
-                continue
-            kept = _keeps_block(a, moves)
-            assert kept == (block_id(_moved(a, *moves)) == block_id(a))
-            assert kept or kind != "keep"
-            answers[kept] += 1
-    assert answers == {True: 288, False: 199}
-
-
-def test_move_check_matches_block_id_on_sweep_constructions(desk_sweep):
-    """Every candidate the constructions build on each sweep block's
-    first-seen member and on its dual (1,348 pairs, two move lists each,
-    all of which ``_moved`` accepts): the move check agrees with the block
-    ids, and here every candidate keeps the block."""
-    checked = kept = 0
+def _construction_seeds(desk_sweep):
+    """Each sweep block's first-seen member and its dual, then 600 drawn
+    pairs over raw multicharges and their duals (e in {2, 3, 4, 5, 7,
+    infinite}, r from 2 to 6, charges in [-12, 12])."""
     for key, grouped in desk_sweep.items():
         if key == "elapsed":
             continue
         e, r, charge = key
         for entries in grouped.values():
             member = AbacusPair(entries[0][0], charge, e)
-            for seed in (member, dual(member)):
-                cols, target = _RowPairCols(seed), block_id(seed)
-                for build in _CONSTRUCTIONS:
-                    for moves in (build(cols) or ())[:2]:
-                        keeps = _keeps_block(seed, moves)
-                        assert keeps == (block_id(_moved(seed, *moves)) == target)
-                        checked += 1
-                        kept += keeps
-    assert (checked, kept) == (2696, 2696)
+            yield member
+            yield dual(member)
+    rng = random.Random(23)
+    for k in range(600):
+        e = (2, 3, 4, 5, 7, INFINITY)[k % 6]
+        r = rng.randrange(2, 7)
+        mp = tuple(tuple(sorted(rng.choices(range(1, 7), k=rng.randrange(0, 5)), reverse=True)) for _ in range(r))
+        member = AbacusPair(mp, tuple(rng.randrange(-12, 13) for _ in range(r)), e)
+        yield member
+        yield dual(member)
+
+
+def test_constructions_move_beads_within_columns_between_balanced_rows(desk_sweep):
+    """Every move list the four constructions build: each move stays in
+    its column before rows above r are wrapped down, and the source rows
+    and the target rows are one multiset, which is why no candidate is
+    checked for its block.  Where ``_moved`` accepts a list, the block
+    id confirms that the candidate lies in the seed's block: here all
+    4,756 lists, 2,696 of them on the sweep seeds."""
+    lists = moved = 0
+    for seed in _construction_seeds(desk_sweep):
+        cols, target = _RowPairCols(seed), block_id(seed)
+        for build in _CONSTRUCTIONS:
+            for moves in (build(cols) or ())[:2]:
+                assert all(src[1] == dst[1] for src, dst in moves)
+                assert sorted(src[0] for src, _ in moves) == sorted(dst[0] for _, dst in moves)
+                lists += 1
+                try:
+                    candidate = _moved(seed, *moves)
+                except ValueError:
+                    continue
+                assert block_id(candidate) == target
+                moved += 1
+    assert (lists, moved) == (4756, 4756)
 
 
 def _assert_valid_witness(w, bid):
@@ -545,7 +512,7 @@ def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep, monkeypatc
     reached = []
     monkeypatch.setattr(
         "akblocks.classify._witness_by_scan",
-        lambda members, charge, b, budget: reached.append(b) or _witness_by_scan(members, charge, b, budget),
+        lambda members, b, budget: reached.append(b) or _witness_by_scan(members, b, budget),
     )
     blocks = witnessed = settled = 0
     scanned_by_repr_type, witness_free = set(), set()
@@ -557,7 +524,7 @@ def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep, monkeypatc
             members = sorted(mp for mp, *_ in entries)
             seed = AbacusPair(members[0], charge, e)
             core_pair = entries[0][1]
-            found = _witness_by_scan(members, charge, bid, DEFAULT_PAIR_BUDGET) is not None
+            found = _witness_by_scan(members, bid, DEFAULT_PAIR_BUDGET) is not None
             reached.clear()
             rep = repr_type(seed)
             if reached:
@@ -624,7 +591,7 @@ def test_witness_search_matches_four_seed_oracle_on_large_inputs():
         assert find_incomparable_pair(bid, member=q.mp) == expected
         if q != p:
             raw = block_id(p)
-            carried = _transport_witness(expected, rep.sigma, charge, rep.normalized_charge, e, raw)
+            carried = _transport_witness(expected, rep.sigma, rep.normalized_charge, raw)
             assert find_incomparable_pair(raw, member=mp) == carried is not None
     assert len(inputs) == 256 and infinite > 200
 
@@ -765,8 +732,8 @@ def test_repr_type_builds_no_lift_table_on_large_inputs(monkeypatch):
 
 def test_repr_type_computes_no_residue_content_on_large_inputs(monkeypatch):
     """The witnesses of the large seed-1 pairs are built on the member or
-    its dual and checked from their moves, and the member stream never
-    opens, so repr_type computes no block id: residue_content, which
+    its dual, which lie in its block by construction, and the member
+    stream never opens, so repr_type computes no block id: residue_content, which
     block_id computes through, is never called."""
     contents = []
     monkeypatch.setattr(

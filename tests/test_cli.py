@@ -204,6 +204,21 @@ def test_exit_codes(capsys):
     assert code == 3 and json.loads(err)["error"] == "budget"
 
 
+@pytest.mark.parametrize("raw", ["-1", " 7 ", "1_0", "+3", "\u0663", "1e3", "lots", ""])
+def test_budget_must_be_a_plain_non_negative_integer(capsys, monkeypatch, raw):
+    """ABACUS_BUDGET is a plain ASCII decimal: a sign, spaces, underscores
+    or other digits are one parse diagnostic (exit 2), not read as a
+    number; 0 is a valid budget."""
+    job = {"e": 3, "multicharge": [0, 1, 2], "multipartition": [[], [2], [1, 1]]}
+    monkeypatch.setenv("ABACUS_BUDGET", raw)
+    code, out, err = run(capsys, "core", json.dumps(job))
+    diagnostics = [json.loads(line) for line in err.splitlines()]
+    assert (code, out) == (2, "")
+    assert diagnostics == [{"error": "parse", "detail": f"ABACUS_BUDGET must be a non-negative integer, got {raw!r}"}]
+    monkeypatch.setenv("ABACUS_BUDGET", "0")
+    assert run_json(capsys, "core", json.dumps(job))["operation_set"] == []
+
+
 def test_witness_on_a_finite_block_needs_no_budget(capsys, monkeypatch):
     """A block of finite type has no witness, and its verdict needs no
     member, so `witness` answers found: false (exit 0) under a budget below

@@ -19,7 +19,9 @@ Spreads of 10^6 are drawn with finite e only.  With infinite e the level
 reader scans every column of the display, so one such job takes seconds
 (``enumerate`` pays it once per block); those spreads stay at 10^4.
 ``ABACUS_BUDGET`` is drawn as well, up to 10^5: the default cap of 10^7
-moves or candidates admits jobs that run for minutes.  ``uglov`` prints
+moves or candidates admits jobs that run for minutes.  The examples add
+malformed budgets (a sign, spaces, an underscore), each one parse error
+on a job that reads the budget, and the budget 0.  ``uglov`` prints
 its one-runner image, whose partition has about as many parts as the
 spread, so its jobs are the slowest finite-e ones (about 1.5 s at 10^6).
 ``sigma`` and ``rotate`` take a drawn integer before the job JSON;
@@ -214,6 +216,11 @@ WEIGHT_ONE = {"e": 4, "multicharge": [0, 1, 2], "multipartition": [[], [1], [1]]
 @example((["brauer-line", "2", "--n", "5", "--window", "1", "2"], "100000", True))
 @example((["dual", json.dumps(WEIGHT_ONE), "--n", "7"], "100000", True))
 @example((["core", json.dumps(WEIGHT_ONE), "--ascii"], "100000", True))
+@example((["core", json.dumps(WEIGHT_ONE)], "-1", True))
+@example((["enumerate", json.dumps(WEIGHT_ONE), "--n", "2"], " 7 ", True))
+@example((["render", json.dumps(WEIGHT_ONE)], "1_0", True))
+@example((["brauer-line", "3"], "+3", True))
+@example((["core", json.dumps(WEIGHT_ONE)], "0", False))
 def test_cli_contract(case):
     argv, budget, rejected = case
     start = time.perf_counter()
