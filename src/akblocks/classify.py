@@ -15,17 +15,16 @@ witness, so the search runs only on blocks of infinite type.  It runs
 once, over the normalized multicharge: a given member is permuted to it
 and a witness found is carried back.  A block of rank one has no
 witness, as a witness needs two rows, so no member is built for it.
-Such pairs are first built by four pattern constructions on one seed
+Such pairs are first built by three pattern constructions on one seed
 abacus.  Each construction starts from a bead over a hole: a column
-where a row carries a bead and a later row has none (the next row, with
-row r + 1 read as row 1 shifted by e, or any later row for
-``construct_four_rows_one_column``).  In a complete abacus, such as the
+where a row carries a bead and the next row has none, with row r + 1
+read as row 1 shifted by e.  In a complete abacus, such as the
 block's core, each row's beads lie in the next row's, so it has no bead
 over a hole, and neither has its dual.  The seeds are therefore the
 member, then its dual, and only if both yield nothing the block's other
 members, as its member stream builds them (each subabacus's lifts one
 size at a time, as the members read need them); the pairwise scan of
-every member is the last step.  The four constructions share one memo
+every member is the last step.  The three constructions share one memo
 of each seed's row-pair column lists, read from the rows' (floor,
 extras), and hand back the moves of their two abaci.  No candidate is
 checked for its block, as each lies in the seed's by construction: every
@@ -302,42 +301,10 @@ def _three_runners_cases(cols: _RowPairCols, i: int, l1: int, l2: int, l3: int, 
     return None
 
 
-def construct_four_rows_one_column(cols: _RowPairCols):
-    """Witness from one column with beads under holes on four rows."""
-    seed = cols.seed
-    if seed.r < 4:
-        return None
-    for h in range(*seed.bounds()):
-        beaded = [h < floor or h in extras for floor, extras in seed._beadsets]
-        rows_b = [i for i, bead in enumerate(beaded, 1) if bead]
-        rows_e = [i for i, bead in enumerate(beaded, 1) if not bead]
-        quad = None
-        for i1, i2 in combinations(rows_b, 2):
-            above = [x for x in rows_e if x > i2]
-            if len(above) >= 2:
-                quad = (i1, i2, above[0], above[1])
-                break
-        if not quad:
-            continue
-        i1, i2, i3, i4 = quad
-        h1 = next((x for x in _cols_empty_under_bead(cols, i1, i3) if x != h), None)
-        h2 = next((x for x in _cols_empty_under_bead(cols, i2, i4) if x != h), None)
-        if h1 is None or h2 is None:
-            continue
-        bar = (((i1, h), (i3, h)), ((i2, h), (i4, h)))
-        l1, l3 = sorted((h, h1))
-        l2, l4 = sorted((h, h2))
-        mu = (*bar, ((i3, l3), (i1, l3)), ((i4, l2), (i2, l2)))
-        nu = (*bar, ((i3, l1), (i1, l1)), ((i4, l4), (i2, l4)))
-        return mu, nu, (i1, l3, i4, l2)
-    return None
-
-
 _CONSTRUCTIONS = (
     construct_two_runners_two_columns,
     construct_four_runners,
     construct_three_runners,
-    construct_four_rows_one_column,
 )
 
 
@@ -380,7 +347,7 @@ def _transport_witness(w, sigma, charge_norm, b: BlockId):
 
 def _constructed_witness(member: AbacusPair):
     """Run the pattern constructions on the member, then, only if it
-    yields nothing, on its dual, all four sharing one memo of the seed's
+    yields nothing, on its dual, all three sharing one memo of the seed's
     row-pair columns.  Every candidate lies in the seed's block (see the
     module docstring), and ``dual`` maps blocks to blocks."""
     for dualized in (False, True):

@@ -540,23 +540,12 @@ def construct_from_vector(s: Multicharge, s_star: Multicharge, m, e) -> Multipar
     m = check_integers(m, "moving vector")
     _check_vector_preconditions(s, s_star, m, e)
     r = len(s)
-    if r == 1:
-        if m[0] != 0 and not is_finite(e):
-            raise ValueError("a single row cannot move with infinite e")
-        if m[0] == 0:
-            return ((),)
-        # lift the top bead of the packed row by m_1 * e
-        p, u = row_from_beads(s_star[0] - 1, [s_star[0] - 1 + m[0] * e])
-        assert u == s[0]
-        return (p,)
     if not is_finite(e):
         if m[-1] != 0:
             raise ValueError("with infinite e the last vector entry must vanish")
         return _construct_last_zero(s, s_star, m, e)
     m_min = min(m)
     i = m.index(m_min) + 1  # 1-based slot of the minimal entry
-    if i == r and m_min == 0:
-        return _construct_last_zero(s, s_star, m, e)
     s_rot = tuple(x - e for x in s[i:]) + s[:i]
     s_star_rot = tuple(x - e for x in s_star[i:]) + s_star[:i]
     m_rot = tuple(x - m_min for x in m[i:] + m[:i - 1]) + (0,)

@@ -81,6 +81,14 @@ def test_row_round_trip(p, s):
     assert row_from_beads(floor, extras) == (p, s)
 
 
+def test_row_from_beads_rejects_an_extra_below_the_floor():
+    """Extras are the beads at or above the floor; one below it is refused."""
+    assert row_from_beads(0, [2]) == ((2,), 1)
+    with pytest.raises(ValueError, match="at or above the floor"):
+        row_from_beads(0, [2, -1])
+
+
+
 def test_pair_from_beads_examples():
     a = pair_from_beads([(0, []), (0, []), (0, [])], 3)
     assert a.mp == ((), (), ()) and a.charge == (0, 0, 0)

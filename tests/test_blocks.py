@@ -385,6 +385,15 @@ def test_orbit_reachable():
         orbit_reachable(bid, block_id(other), 5)
 
 
+def test_orbit_reachable_rejects_blocks_of_different_e():
+    """Orbits are taken in one affine Weyl group, so e must agree."""
+    bid2 = block_id(AbacusPair(((1,), ()), (0, 0), 2))
+    bid3 = block_id(AbacusPair(((1,), ()), (0, 0), 3))
+    with pytest.raises(ValueError, match="quantum characteristic"):
+        orbit_reachable(bid2, bid3, 5)
+
+
+
 def test_orbit_separation_same_weight_blocks():
     # one-column-box blocks at e = r = 3 are pairwise unreachable within 20
     e, s = 3, (0, 1, 2)

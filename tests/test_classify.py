@@ -466,12 +466,12 @@ def _construction_seeds(desk_sweep):
 
 
 def test_constructions_move_beads_within_columns_between_balanced_rows(desk_sweep):
-    """Every move list the four constructions build: each move stays in
+    """Every move list the three constructions build: each move stays in
     its column before rows above r are wrapped down, and the source rows
     and the target rows are one multiset, which is why no candidate is
     checked for its block.  Where ``_moved`` accepts a list, the block
     id confirms that the candidate lies in the seed's block: here all
-    4,756 lists, 2,696 of them on the sweep seeds."""
+    4,252 lists, 2,308 of them on the sweep seeds."""
     lists = moved = 0
     for seed in _construction_seeds(desk_sweep):
         cols, target = _RowPairCols(seed), block_id(seed)
@@ -486,7 +486,7 @@ def test_constructions_move_beads_within_columns_between_balanced_rows(desk_swee
                     continue
                 assert block_id(candidate) == target
                 moved += 1
-    assert (lists, moved) == (4756, 4756)
+    assert (lists, moved) == (4252, 4252)
 
 
 def _assert_valid_witness(w, bid):
@@ -557,7 +557,7 @@ def test_witness_search_matches_four_seed_oracle_on_sweep(desk_sweep, monkeypatc
             witnessed += found
     assert blocks == 2577 and witnessed == 1259
     assert len(witness_free) == 7 and scanned_by_repr_type == witness_free
-    assert settled == 655
+    assert settled == 599
 
 
 def large_inputs(seed):
@@ -633,6 +633,18 @@ def test_find_incomparable_pair_on_raw_multicharges_matches_member_scan():
     assert (blocks, witnessed, witnessed_r2) == (761, 117, 60)
 
 
+def test_pair_budget_bounds_the_scan():
+    """No construction settles the block of ((1,), (2,)) over (0, 1) at
+    e = 3, on any member or dual, so the pairwise scan finds its witness,
+    and a pair budget of 0 compares no pair and finds none."""
+    bid = block_id(AbacusPair(((1,), (2,)), (0, 1), 3))
+    w = find_incomparable_pair(bid)
+    assert (w.mu, w.nu) == (((1,), (2,)), ((), (1, 1, 1)))
+    _assert_valid_witness(w, bid)
+    assert find_incomparable_pair(bid, pair_budget=0) is None
+
+
+
 def test_rank_one_blocks_have_no_witness_and_open_no_stream(monkeypatch):
     """A witness needs two distinct rows, so on a block of rank one both
     find_incomparable_pair and repr_type answer without a search: no member
@@ -674,7 +686,7 @@ def test_constructions_never_fire_on_a_core_or_its_dual(e, rows):
 
 
 def test_construction_memo_matches_fresh_model_and_column_scan():
-    """All four constructions share one column memo and leave its seed as
+    """All three constructions share one column memo and leave its seed as
     it was, and every memoized column list is the column scan's."""
     rng = random.Random(12)
     memoized = 0
@@ -835,10 +847,10 @@ def test_find_incomparable_pair_gates_before_any_lift_table(monkeypatch):
     assert find_incomparable_pair(bid) is None and lifts
 
 
-def test_repr_type_reads_982_stream_members_on_sweep(desk_sweep, monkeypatch):
+def test_repr_type_reads_1038_stream_members_on_sweep(desk_sweep, monkeypatch):
     """The witness search reads the member stream in its order, so the
     order sets its cost: run on each desk-sweep block's first-seen pair,
-    repr_type reads 982 stream members in all."""
+    repr_type reads 1,038 stream members in all."""
     read = []
 
     def counted(b, budget):
@@ -855,7 +867,7 @@ def test_repr_type_reads_982_stream_members_on_sweep(desk_sweep, monkeypatch):
         for entries in grouped.values():
             repr_type(AbacusPair(entries[0][0], charge, e))
             blocks += 1
-    assert blocks == 2577 and len(read) == 982
+    assert blocks == 2577 and len(read) == 1038
 
 
 def _verdict_fields(p):

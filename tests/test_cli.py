@@ -12,6 +12,7 @@ import pytest
 
 from akblocks import moves
 from akblocks.abacus import AbacusPair
+from akblocks.classify import repr_type
 from akblocks.cli import COMMANDS, SCHEMAS, main
 from akblocks.moves import core_and_vector
 
@@ -65,6 +66,16 @@ def test_classify_truncated_polynomial(capsys):
     doc = run_json(capsys, "classify", json.dumps(job))
     assert doc["verdict"] == "finite"
     assert doc["detail"] == {"kind": "truncated_polynomial", "degree": 3}
+
+
+def test_classify_brauer_line_reports_its_edges(capsys):
+    job = {"e": 3, "multicharge": [0, 1], "multipartition": [[2], []]}
+    doc = run_json(capsys, "classify", json.dumps(job))
+    rep = repr_type(AbacusPair(((2,), ()), (0, 1), 3))
+    assert doc["verdict"] == "finite" and doc["weight"] == 1
+    assert rep.detail_edges == 2
+    assert doc["detail"] == {"kind": "brauer_line", "edges": rep.detail_edges}
+
 
 
 def test_block_id_defect_schur(capsys):
@@ -187,6 +198,15 @@ def test_render_window_counts_against_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "render", job, "--window", "0", str(10**7))
     assert code == 3 and out == "" and time.perf_counter() - start < 0.5
     assert json.loads(err)["detail"] == "render window of 20000002 cells exceeds budget 10000000"
+
+
+def test_render_refuses_an_empty_window(capsys):
+    """A window whose low end lies above its high end is one parse
+    diagnostic (exit 2)."""
+    code, out, err = run(capsys, "render", json.dumps(PAIR41), "--window", "5", "3")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "parse", "detail": "empty window"}
+
 
 
 def test_exit_codes(capsys):

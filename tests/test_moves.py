@@ -395,6 +395,23 @@ def test_construct_from_vector_basics():
     assert moving_vector_between(a, b) == (1, 0)
 
 
+def test_construct_from_vector_at_rank_one():
+    """One row moves by lifting its top bead m_1 * e columns, so with
+    finite e every vector round-trips through moving_vector_between; with
+    infinite e the one entry is the last one, which must vanish."""
+    for e in (2, 3, 5):
+        for s in (-2, 0, 3):
+            for m in range(4):
+                lam = construct_from_vector((s,), (s,), (m,), e)
+                a = AbacusPair(lam, (s,), e)
+                assert moving_vector_between(a, AbacusPair(((),), (s,), e)) == (m,)
+                assert size(lam) == m * e
+    assert construct_from_vector((1,), (1,), (0,), INFINITY) == ((),)
+    with pytest.raises(ValueError, match="last vector entry must vanish"):
+        construct_from_vector((1,), (1,), (2,), INFINITY)
+
+
+
 def test_construct_from_vector_rejects_bad_charges():
     with pytest.raises(ValueError):
         construct_from_vector((0, 1), (5, 5), (1, 0), 3)
